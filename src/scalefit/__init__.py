@@ -11,6 +11,7 @@ from .curve import (
     CurveSplit,
     LearningCurve,
     apply_cutoff,
+    prepare_split,
     split_for_extrapolation,
     truncate_at_peak,
 )

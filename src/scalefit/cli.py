@@ -18,12 +18,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .curve import CurveError, apply_cutoff, split_for_extrapolation, truncate_at_peak
+from .curve import CurveError, apply_cutoff, prepare_split, truncate_at_peak
 from .evaluation import ALL_MODEL_NAMES, MODEL_NAMES, TieRule, evaluate_task, fit_model
 from .fitting import FitConfig, FitError
 from .harness import (
@@ -59,7 +59,8 @@ def _add_fit_flags(p):
                    help="model to use (repeatable); default M1 M2 M3 M4")
     p.add_argument("--cutoff", default="0",
                    help="lower x cutoff for fitting, a number or 'auto' "
-                        "(geometric midpoint of the fitted range)")
+                        "(geometric midpoint of each task's train side; "
+                        "of the whole curve for fit)")
     p.add_argument("--lr", type=float, default=1e-7, help="gradient learning rate")
     p.add_argument("--rate-multiplier", type=float, default=1.0,
                    help="uniform multiplier on the learning rate")
@@ -77,9 +78,10 @@ def _cfg_from(args) -> FitConfig:
                      max_outer_iters=args.max_iters, backtracking=args.backtracking)
 
 
-def _resolve_cutoff(spec: str, curve) -> float:
+def _parse_cutoff(spec: str):
+    """--cutoff as a nonnegative float, or the string "auto"."""
     if spec == "auto":
-        return math.sqrt(curve.xs[0] * curve.xs[-1])
+        return spec
     try:
         value = float(spec)
     except ValueError:
@@ -87,15 +89,6 @@ def _resolve_cutoff(spec: str, curve) -> float:
     if value < 0:
         raise TaskFormatError("cutoff must be nonnegative")
     return value
-
-
-def _prepare(args, curve):
-    if args.truncate_at_peak:
-        curve = truncate_at_peak(curve)
-    cutoff = _resolve_cutoff(args.cutoff, curve)
-    if cutoff > 0:
-        curve = apply_cutoff(curve, cutoff)
-    return curve
 
 
 def _params_doc(params):
@@ -172,7 +165,14 @@ def _expand_task_paths(paths):
 
 
 def _cmd_fit(args) -> int:
-    curve = _prepare(args, load_task(args.task))
+    curve = load_task(args.task)
+    if args.truncate_at_peak:
+        curve = truncate_at_peak(curve)
+    cutoff = _parse_cutoff(args.cutoff)
+    if cutoff == "auto":  # fit has no split: the midpoint of the whole curve
+        cutoff = math.sqrt(curve.xs[0] * curve.xs[-1])
+    if cutoff > 0:
+        curve = apply_cutoff(curve, cutoff)
     cfg = _cfg_from(args)
     models = args.model or list(MODEL_NAMES)
     out = {}
@@ -192,14 +192,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    curve = load_task(args.task)
-    if args.truncate_at_peak:
-        curve = truncate_at_peak(curve)
-    split = split_for_extrapolation(curve)
-    cutoff = _resolve_cutoff(args.cutoff, split.train)
-    if cutoff > 0:
-        split = type(split)(train=apply_cutoff(split.train, cutoff),
-                            holdout=split.holdout, tau=split.tau)
+    split = prepare_split(load_task(args.task), args.truncate_at_peak,
+                          _parse_cutoff(args.cutoff))
     tie = TieRule(abs_tol=args.tie_abs, rel_tol=args.tie_rel)
     report = evaluate_task(split, _cfg_from(args),
                            args.model or MODEL_NAMES, tie)
@@ -217,11 +211,9 @@ def _cmd_evaluate(args) -> int:
 def _cmd_benchmark(args) -> int:
     paths = _expand_task_paths(args.tasks)
     tie = TieRule(abs_tol=args.tie_abs, rel_tol=args.tie_rel)
-    sample = load_task(paths[0]) if paths else None
-    cutoff = _resolve_cutoff(args.cutoff, sample) if sample is not None else 0.0
     run = run_benchmark(paths, _cfg_from(args), args.model or MODEL_NAMES,
                         tie, truncate_peak=args.truncate_at_peak,
-                        cutoff=cutoff, seed=args.seed)
+                        cutoff=_parse_cutoff(args.cutoff), seed=args.seed)
     print(emit_report(run, format=args.format), end="")
     if args.strict and any(rep.diagnostics for rep in run.reports):
         return FIT_ERROR
@@ -244,14 +236,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    curve = load_task(args.task)
-    if args.truncate_at_peak:
-        curve = truncate_at_peak(curve)
-    split = split_for_extrapolation(curve)
-    cutoff = _resolve_cutoff(args.cutoff, split.train)
-    if cutoff > 0:
-        split = type(split)(train=apply_cutoff(split.train, cutoff),
-                            holdout=split.holdout, tau=split.tau)
+    split = prepare_split(load_task(args.task), args.truncate_at_peak,
+                          _parse_cutoff(args.cutoff))
     cfg = _cfg_from(args)
     fits = {}
     for name in args.model or MODEL_NAMES:

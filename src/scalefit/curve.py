@@ -1,5 +1,5 @@
 """Learning-curve data model: validation, cutoff restriction, extrapolation
-splits, and peak truncation.
+splits, peak truncation, and the one path from a curve to its split.
 
 Curves are immutable after construction and safe to share across threads.
 Values are stored as losses (lower is better); metric conversion happens at
@@ -8,7 +8,7 @@ ingestion in the harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,3 +143,21 @@ def truncate_at_peak(curve: LearningCurve) -> LearningCurve:
     if best == len(curve) - 1:
         return curve
     return curve.replace_points(curve.xs[: best + 1], curve.eps[: best + 1])
+
+
+def prepare_split(curve: LearningCurve, truncate_peak: bool = False,
+                  cutoff=0.0) -> CurveSplit:
+    """Truncate at the peak (optionally), split for extrapolation, then
+    restrict the train side to x >= cutoff; the holdout is kept whole.
+
+    cutoff is a nonnegative number or "auto", the geometric midpoint of
+    this curve's own train side.  0 keeps every train point.
+    """
+    if truncate_peak:
+        curve = truncate_at_peak(curve)
+    split = split_for_extrapolation(curve)
+    if cutoff == "auto":
+        cutoff = float(np.sqrt(split.train.xs[0] * split.train.xs[-1]))
+    if cutoff == 0:
+        return split
+    return CurveSplit(apply_cutoff(split.train, cutoff), split.holdout, split.tau)

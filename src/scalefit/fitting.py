@@ -1,17 +1,24 @@
-"""Square-log losses and the block coordinate descent fitters.
+"""Square-log losses and their fitters, on one separable least-squares core.
 
-All four model classes minimize a squared residual in log space.  The
-log-linear parameters (intercept/log beta, c, and alpha for M4) are solved
-in closed form by least squares at each outer iteration; the remaining
-parameter (eps_inf for M2/M4, gamma for M3) takes one gradient step per
-outer iteration with a fixed learning rate, 1e-7 by default.  Iteration
-stops when the loss decrease per outer iteration falls below
-convergence_tol or max_outer_iters is reached.
+Every model is y(theta) ~ A(theta) . b in log space, with the coefficients
+b solved exactly by least squares and theta one scalar in [0, hi]:
+
+    M1  log eps            ~ (1, log x) . (log beta, c)             no theta
+    M2  log(eps - eps_inf) ~ (1, log x) . (log beta, c)             eps_inf
+    M4  log(eps - eps_inf) ~ (log(eps0 - eps), 1, log x) . (alpha, log beta, c)
+    M3  log eps            ~ (1, log(1/x + gamma)) . (log beta, c)  gamma
+
+M2 is M4 without the alpha column and M1 is M2 at eps_inf = 0; a negative
+alpha is projected to 0.  Each outer iteration solves b, then takes one
+clamped gradient step on theta, 1e-7 by default (variable projection, Golub
+& Pereyra 1973), until the loss decrease falls below convergence_tol or
+max_outer_iters is reached.  loss_* and dloss_* evaluate the same residual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -90,32 +97,81 @@ def solve_loglinear(targets, features):
     return coeffs
 
 
+@dataclass(frozen=True)
+class _Separable:
+    """One model as y(theta) ~ A(theta) . b, theta in [0, hi]; dr(theta, b)
+    is d(y - A . b)/dtheta at fixed b.  reduced is A without its alpha
+    column, for the re-solve when alpha < 0; a view of A would change the
+    solve in the last bit."""
+
+    target: Callable
+    design: Callable
+    dr: Callable
+    hi: float = np.inf
+    reduced: np.ndarray | None = None
+
+    def solve(self, theta):
+        """Least-squares coefficients at theta, with residuals and loss."""
+        y, A = self.target(theta), self.design(theta)
+        b = solve_loglinear(y, A)
+        if self.reduced is not None and b[0] < 0:
+            b_reduced = solve_loglinear(y, self.reduced)
+            r = y - self.reduced @ b_reduced
+            b = np.concatenate(([0.0], b_reduced))
+        else:
+            r = y - A @ b
+        return b, r, float(np.mean(r**2))
+
+    def grad(self, theta, b, r):
+        return float(np.mean(2.0 * r * self.dr(theta, b)))
+
+
+def _eps_inf_problem(curve, eps0, alpha, hi=np.inf) -> _Separable:
+    """M4 (alpha=True) or M2 (alpha=False); theta = eps_inf."""
+    eps = curve.eps_array
+    logx = np.log(curve.x_array)
+    base = np.column_stack([np.ones_like(logx), logx])
+    A = np.column_stack([np.log(eps0 - eps), base]) if alpha else base
+    return _Separable(target=lambda e: np.log(eps - e), design=lambda e: A,
+                      dr=lambda e, b: -1.0 / (eps - e), hi=hi,
+                      reduced=base if alpha else None)
+
+
+def _gamma_problem(curve) -> _Separable:
+    """M3; theta = gamma."""
+    inv_x = 1.0 / curve.x_array
+    y = np.log(curve.eps_array)
+    return _Separable(
+        target=lambda g: y,
+        design=lambda g: np.column_stack([np.ones_like(inv_x), np.log(inv_x + g)]),
+        dr=lambda g, b: -b[1] / (inv_x + g))
+
+
+def _loss_and_grad(curve, p):
+    """(loss, dL/dtheta) at M3 (theta = gamma) or M4 (eps_inf) params."""
+    if isinstance(p, M3Params):
+        problem, theta, b = _gamma_problem(curve), p.gamma, (np.log(p.beta), p.c)
+    elif np.any(curve.eps_array <= p.eps_inf):
+        raise FitError("eps_inf exceeds observed loss")
+    else:
+        problem = _eps_inf_problem(curve, p.eps0, alpha=True)
+        theta, b = p.eps_inf, (p.alpha, np.log(p.beta), p.c)
+    r = problem.target(theta) - problem.design(theta) @ b
+    return float(np.mean(r**2)), problem.grad(theta, b, r)
+
+
 def loss_m4(curve: LearningCurve, p: M4Params) -> float:
     """Mean squared residual of the M4 square-log loss.
 
     residual_i = log(eps_i - eps_inf) - alpha*log(eps0 - eps_i)
                  - log(beta) - c*log(x_i)
     """
-    eps = curve.eps_array
-    if np.any(eps <= p.eps_inf):
-        raise FitError("eps_inf exceeds observed loss")
-    r = (
-        np.log(eps - p.eps_inf)
-        - p.alpha * np.log(p.eps0 - eps)
-        - np.log(p.beta)
-        - p.c * np.log(curve.x_array)
-    )
-    return float(np.mean(r**2))
+    return _loss_and_grad(curve, p)[0]
 
 
 def loss_m3(curve: LearningCurve, p: M3Params) -> float:
     """Mean of (log eps - log beta - c*log(1/x + gamma))^2."""
-    r = (
-        np.log(curve.eps_array)
-        - np.log(p.beta)
-        - p.c * np.log(1.0 / curve.x_array + p.gamma)
-    )
-    return float(np.mean(r**2))
+    return _loss_and_grad(curve, p)[0]
 
 
 def dloss_m4_deps_inf(curve: LearningCurve, p: M4Params) -> float:
@@ -124,24 +180,13 @@ def dloss_m4_deps_inf(curve: LearningCurve, p: M4Params) -> float:
     dL/deps_inf = mean(-2 r_i / (eps_i - eps_inf)) with the other
     parameters held fixed; this is the gradient used by fit_m2 and fit_m4.
     """
-    eps = curve.eps_array
-    if np.any(eps <= p.eps_inf):
-        raise FitError("eps_inf exceeds observed loss")
-    r = (
-        np.log(eps - p.eps_inf)
-        - p.alpha * np.log(p.eps0 - eps)
-        - np.log(p.beta)
-        - p.c * np.log(curve.x_array)
-    )
-    return float(np.mean(2.0 * r * (-1.0 / (eps - p.eps_inf))))
+    return _loss_and_grad(curve, p)[1]
 
 
 def dloss_m3_dgamma(curve: LearningCurve, p: M3Params) -> float:
     """Analytic partial derivative of loss_m3 with respect to gamma,
-    dL/dgamma = mean(-2 r_i c / (1/x_i + gamma))."""
-    inv_x = 1.0 / curve.x_array
-    r = np.log(curve.eps_array) - np.log(p.beta) - p.c * np.log(inv_x + p.gamma)
-    return float(np.mean(2.0 * r * (-p.c / (inv_x + p.gamma))))
+    dL/dgamma = mean(-2 r_i c / (1/x_i + gamma)); the gradient used by fit_m3."""
+    return _loss_and_grad(curve, p)[1]
 
 
 def _require_points(curve, n, model):
@@ -149,157 +194,87 @@ def _require_points(curve, n, model):
         raise FitError(f"{model} needs at least {n} points, got {len(curve)}")
 
 
-def fit_m1(curve: LearningCurve) -> FitResult:
-    """Closed-form least squares of log eps on (1, log x)."""
-    _require_points(curve, 2, "M1")
-    logx = np.log(curve.x_array)
-    y = np.log(curve.eps_array)
-    A = np.column_stack([np.ones_like(logx), logx])
-    b0, c = solve_loglinear(y, A)
-    r = y - A @ (b0, c)
-    return FitResult(M1Params(beta=float(np.exp(b0)), c=float(c)),
-                     float(np.mean(r**2)), 1, True)
+def _descend(problem: _Separable, init, cfg):
+    """Outer loop: exact least-squares coefficients, then one gradient step
+    on theta, clamped to [0, problem.hi].
 
-
-def _descend(solve_block, grad, init, lo, hi, cfg):
-    """Generic outer loop: exact log-linear block, then one gradient step
-    on the scalar parameter, clamped to [lo, hi].
-
-    solve_block(theta) -> (coeffs, residuals, loss); grad(theta, residuals)
-    -> dL/dtheta.  Returns (theta, coeffs, loss, iterations, converged).
+    Returns (theta, coeffs, loss, iterations, converged).
     """
-    theta = min(max(init, lo), hi)
+    theta = min(max(init, 0.0), problem.hi)
     rate = cfg.effective_rate
     prev_loss = np.inf
-    coeffs, resid, loss = solve_block(theta)
+    coeffs, resid, loss = problem.solve(theta)
     for k in range(1, cfg.max_outer_iters + 1):
         if not np.isfinite(loss):
             raise FitError("non-finite loss during coordinate descent")
         if prev_loss - loss < cfg.convergence_tol:
             return theta, coeffs, loss, k, True
         prev_loss = loss
-        step = rate * grad(theta, resid)
-        candidate = min(max(theta - step, lo), hi)
-        if cfg.backtracking:
-            for _ in range(40):
-                c2, r2, l2 = solve_block(candidate)
-                if l2 <= loss:
-                    break
-                step *= 0.5
-                candidate = min(max(theta - step, lo), hi)
-            else:
-                return theta, coeffs, loss, k, True
-            theta, coeffs, resid, loss = candidate, c2, r2, l2
+        step = rate * problem.grad(theta, coeffs, resid)
+        for _ in range(40 if cfg.backtracking else 1):
+            candidate = min(max(theta - step, 0.0), problem.hi)
+            c2, r2, l2 = problem.solve(candidate)
+            if l2 <= loss or not cfg.backtracking:
+                break
+            step *= 0.5
         else:
-            theta = candidate
-            coeffs, resid, loss = solve_block(theta)
+            return theta, coeffs, loss, k, True
+        theta, coeffs, resid, loss = candidate, c2, r2, l2
     return theta, coeffs, loss, cfg.max_outer_iters, False
 
 
+def fit_m1(curve: LearningCurve) -> FitResult:
+    """Closed-form least squares of log eps on (1, log x)."""
+    _require_points(curve, 2, "M1")
+    (b0, c), _, loss = _eps_inf_problem(curve, curve.eps0, alpha=False).solve(0.0)
+    return FitResult(M1Params(beta=float(np.exp(b0)), c=float(c)), loss, 1, True)
+
+
+def _fit_eps_inf(curve, cfg, alpha):
+    """M4, or M2 when alpha is False: ((eps_inf, alpha, beta, c), loss,
+    iterations, converged)."""
+    eps_min = float(curve.eps_array.min())
+    problem = _eps_inf_problem(curve, curve.eps0, alpha,
+                               hi=(1.0 - cfg.eps_inf_margin) * eps_min)
+    e_inf, b, *rest = _descend(problem, cfg.eps_inf_init_fraction * eps_min, cfg)
+    a, b0, c = b if alpha else (0.0, *b)
+    return (float(e_inf), float(a), float(np.exp(b0)), float(c)), *rest
+
+
 def fit_m2(curve: LearningCurve, cfg: FitConfig = FitConfig()) -> FitResult:
-    """Block coordinate descent for eps = eps_inf + beta * x^c.
-
-    Given eps_inf, (log beta, c) is the least-squares fit of
-    log(eps - eps_inf) on (1, log x); eps_inf then takes a gradient step
-    with dL/deps_inf = mean(-2 r_i / (eps_i - eps_inf)) and is clamped to
-    [0, (1 - margin) * min eps].
-    """
+    """Fit eps = eps_inf + beta * x^c: fit_m4 without the alpha column,
+    the same fit as fit_m4(curve, cfg, fix_alpha_zero=True)."""
     _require_points(curve, 3, "M2")
-    eps = curve.eps_array
-    logx = np.log(curve.x_array)
-    A = np.column_stack([np.ones_like(logx), logx])
-    hi = (1.0 - cfg.eps_inf_margin) * float(eps.min())
-
-    def solve_block(e_inf):
-        y = np.log(eps - e_inf)
-        coeffs = solve_loglinear(y, A)
-        r = y - A @ coeffs
-        return coeffs, r, float(np.mean(r**2))
-
-    def grad(e_inf, r):
-        return float(np.mean(2.0 * r * (-1.0 / (eps - e_inf))))
-
-    init = cfg.eps_inf_init_fraction * float(eps.min())
-    e_inf, (b0, c), loss, iters, conv = _descend(solve_block, grad, init, 0.0, hi, cfg)
-    return FitResult(M2Params(eps_inf=float(e_inf), beta=float(np.exp(b0)), c=float(c)),
-                     loss, iters, conv)
+    (e_inf, _, beta, c), *rest = _fit_eps_inf(curve, cfg, alpha=False)
+    return FitResult(M2Params(eps_inf=e_inf, beta=beta, c=c), *rest)
 
 
 def fit_m3(curve: LearningCurve, cfg: FitConfig = FitConfig()) -> FitResult:
-    """Block coordinate descent for eps = beta * (1/x + gamma)^c.
+    """Fit eps = beta * (1/x + gamma)^c.
 
     Given gamma, (log beta, c) is the least-squares fit of log eps on
     (1, log(1/x + gamma)); gamma then takes a gradient step with
     dL/dgamma = mean(-2 r_i * c / (1/x_i + gamma)), clamped to gamma >= 0.
     """
     _require_points(curve, 3, "M3")
-    inv_x = 1.0 / curve.x_array
-    y = np.log(curve.eps_array)
-    state = {}
-
-    def solve_block(gamma):
-        A = np.column_stack([np.ones_like(inv_x), np.log(inv_x + gamma)])
-        coeffs = solve_loglinear(y, A)
-        r = y - A @ coeffs
-        state["c"] = coeffs[1]
-        return coeffs, r, float(np.mean(r**2))
-
-    def grad(gamma, r):
-        return float(np.mean(2.0 * r * (-state["c"] / (inv_x + gamma))))
-
-    gamma, (b0, c), loss, iters, conv = _descend(
-        solve_block, grad, cfg.gamma_init, 0.0, np.inf, cfg
-    )
+    gamma, (b0, c), loss, iters, conv = _descend(_gamma_problem(curve), cfg.gamma_init, cfg)
     return FitResult(M3Params(beta=float(np.exp(b0)), c=float(c), gamma=float(gamma)),
                      loss, iters, conv)
 
 
 def fit_m4(curve: LearningCurve, cfg: FitConfig = FitConfig(),
            fix_alpha_zero: bool = False) -> FitResult:
-    """Block coordinate descent for (eps - eps_inf)/(eps0 - eps)^alpha = beta x^c.
+    """Fit (eps - eps_inf)/(eps0 - eps)^alpha = beta x^c.
 
     eps0 is fixed to curve.eps0.  Given eps_inf, (alpha, log beta, c) is the
     least-squares fit of log(eps - eps_inf) on (log(eps0 - eps), 1, log x);
     a negative alpha is projected to zero by re-solving with the alpha
-    feature dropped.  eps_inf takes the same gradient step as in fit_m2.
-    fix_alpha_zero drops the alpha feature throughout (the no-alpha
-    ablation variant).
+    feature dropped.  eps_inf then takes a gradient step with
+    dL/deps_inf = mean(-2 r_i / (eps_i - eps_inf)) and is clamped to
+    [0, (1 - margin) * min eps].  fix_alpha_zero drops the alpha feature
+    throughout (the no-alpha ablation variant, the same fit as fit_m2).
     """
     _require_points(curve, 3 if fix_alpha_zero else 4, "M4")
-    eps = curve.eps_array
-    eps0 = curve.eps0
-    logx = np.log(curve.x_array)
-    ones = np.ones_like(logx)
-    log_gap = np.log(eps0 - eps)
-    hi = (1.0 - cfg.eps_inf_margin) * float(eps.min())
-
-    def solve_block(e_inf):
-        y = np.log(eps - e_inf)
-        if fix_alpha_zero:
-            A = np.column_stack([ones, logx])
-            b0, c = solve_loglinear(y, A)
-            alpha = 0.0
-            r = y - A @ (b0, c)
-        else:
-            A = np.column_stack([log_gap, ones, logx])
-            alpha, b0, c = solve_loglinear(y, A)
-            if alpha < 0:
-                # active-set projection: re-solve with the alpha feature dropped
-                alpha = 0.0
-                A2 = np.column_stack([ones, logx])
-                b0, c = solve_loglinear(y, A2)
-                r = y - A2 @ (b0, c)
-            else:
-                r = y - A @ (alpha, b0, c)
-        return (alpha, b0, c), r, float(np.mean(r**2))
-
-    def grad(e_inf, r):
-        return float(np.mean(2.0 * r * (-1.0 / (eps - e_inf))))
-
-    init = cfg.eps_inf_init_fraction * float(eps.min())
-    e_inf, (alpha, b0, c), loss, iters, conv = _descend(
-        solve_block, grad, init, 0.0, hi, cfg
-    )
-    params = M4Params(eps0=float(eps0), eps_inf=float(e_inf), alpha=float(alpha),
-                      beta=float(np.exp(b0)), c=float(c))
-    return FitResult(params, loss, iters, conv)
+    (e_inf, alpha, beta, c), *rest = _fit_eps_inf(curve, cfg, alpha=not fix_alpha_zero)
+    return FitResult(M4Params(eps0=float(curve.eps0), eps_inf=e_inf, alpha=alpha,
+                              beta=beta, c=c), *rest)

@@ -20,21 +20,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .curve import CurveError, LearningCurve, apply_cutoff, split_for_extrapolation, truncate_at_peak
-from .evaluation import (
-    MODEL_NAMES,
-    ExtrapolationReport,
-    RankSummary,
-    TieRule,
-    evaluate_task,
-    rank_methods,
-)
-from .fitting import FitConfig, FitResult
+from .curve import CurveError, LearningCurve, prepare_split
+from .evaluation import MODEL_NAMES, RankSummary, TieRule, evaluate_task, rank_methods
+from .fitting import FitConfig
 from .models import predict
 
 
@@ -140,28 +133,20 @@ class BenchmarkRun:
 
 def run_benchmark(task_paths, cfg: FitConfig = FitConfig(), models=MODEL_NAMES,
                   tie: TieRule = TieRule(), truncate_peak: bool = False,
-                  cutoff: float = 0.0, seed: int | None = None) -> BenchmarkRun:
+                  cutoff=0.0, seed: int | None = None) -> BenchmarkRun:
     """Split each task at tau = x_max/2, fit, score, and rank.
 
-    cutoff > 0 restricts the train side to x >= cutoff (the holdout is
-    always evaluated in full).  Tasks that fail to load or split are
-    recorded under skipped rather than aborting; output ordering is by
-    task name, independent of input order.
+    Each task goes through curve.prepare_split: cutoff > 0 restricts the
+    train side to x >= cutoff, and "auto" resolves it from that task's own
+    train side (the holdout is always evaluated in full).  Tasks that fail
+    to load or split are recorded under skipped rather than aborting;
+    output ordering is by task name, independent of input order.
     """
     reports = []
     skipped = []
     for path in task_paths:
         try:
-            curve = load_task(path)
-            if truncate_peak:
-                curve = truncate_at_peak(curve)
-            split = split_for_extrapolation(curve)
-            if cutoff > 0:
-                split = type(split)(
-                    train=apply_cutoff(split.train, cutoff),
-                    holdout=split.holdout,
-                    tau=split.tau,
-                )
+            split = prepare_split(load_task(path), truncate_peak, cutoff)
             reports.append(evaluate_task(split, cfg, models, tie))
         except (OSError, TaskFormatError, CurveError) as exc:
             skipped.append((str(path), str(exc)))

@@ -83,9 +83,6 @@ class M4Params:
             raise ValueError("require 0 <= eps_inf < eps0")
 
 
-ModelParams = (M1Params, M2Params, M3Params, M4Params)
-
-
 def _as_x(x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):

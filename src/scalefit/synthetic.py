@@ -16,7 +16,7 @@ platforms.  Trials are reduced in a fixed order.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -79,6 +79,20 @@ class TestBenchmarkCommand:
         assert code == 0
         assert json.loads(out)["best_fraction"]["M2"] == 1.0
 
+    def test_unloadable_first_task_is_skipped(self, capsys, task_file):
+        bad = task_file.parent / "a-bad.json"
+        bad.write_text("{not json")
+        code, out, _ = run_cli(capsys, "benchmark", task_file.parent, "--model", "m1",
+                               "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert [t["task"] for t in doc["tasks"]] == ["demo"]
+        assert [s[0] for s in doc["skipped"]] == [str(bad)]
+
+    def test_bad_cutoff_is_data_error(self, capsys, task_file):
+        code, _, _ = run_cli(capsys, "benchmark", task_file, "--cutoff", "banana")
+        assert code == 2
+
     def test_strict_fit_failure_exit_code(self, capsys, tmp_path):
         # tau = 8, so the train side holds 3 points, below M4's minimum
         xs = [1, 2, 3, 9, 12, 16]
@@ -87,6 +101,29 @@ class TestBenchmarkCommand:
         save_task(curve, path)
         code, _, _ = run_cli(capsys, "benchmark", path, "--model", "m4", "--strict")
         assert code == 3
+
+
+class TestCutoffAutoPerTask:
+    """--cutoff auto resolves from each task's own train side, so benchmark
+    and evaluate agree task by task even when x ranges differ widely."""
+
+    def test_benchmark_matches_evaluate(self, capsys, tmp_path):
+        ranges = {"a-small": (1, 64), "b-large": (1e3, 1e6)}
+        for name, (lo, hi) in ranges.items():
+            c = generate_from_model(M2Params(0.05, 1.0, -0.3), np.geomspace(lo, hi, 12),
+                                    noise_sigma=0.02, rng=np.random.default_rng(5),
+                                    eps0=2.0)
+            save_task(LearningCurve(c.xs, c.eps, c.eps0, name=name),
+                      tmp_path / f"{name}.json")
+        code, out, _ = run_cli(capsys, "benchmark", tmp_path, "--model", "m1",
+                               "--cutoff", "auto", "--format", "json")
+        assert code == 0
+        bench = {t["task"]: t["rmse"]["M1"] for t in json.loads(out)["tasks"]}
+        for name in ranges:
+            code, out, _ = run_cli(capsys, "evaluate", tmp_path / f"{name}.json",
+                                   "--model", "m1", "--cutoff", "auto")
+            assert code == 0
+            assert bench[name] == json.loads(out)["rmse"]["M1"]
 
 
 class TestSynthCommand:

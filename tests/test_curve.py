@@ -7,6 +7,7 @@ from scalefit.curve import (
     CurveError,
     LearningCurve,
     apply_cutoff,
+    prepare_split,
     split_for_extrapolation,
     truncate_at_peak,
 )
@@ -135,3 +136,30 @@ class TestTruncateAtPeak:
             out = truncate_at_peak(c)
             assert out.xs == c.xs[: len(out)]
             assert out.eps[-1] == min(c.eps)
+
+
+class TestPrepareSplit:
+    def test_default_is_plain_split(self):
+        c = make_curve([1, 2, 4, 8, 16], [0.5, 0.4, 0.3, 0.25, 0.2])
+        assert prepare_split(c) == split_for_extrapolation(c)
+
+    def test_truncate_then_split_then_cutoff(self):
+        c = make_curve([1, 2, 4, 8, 16, 32, 64], [0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.3])
+        s = prepare_split(c, truncate_peak=True, cutoff=2)
+        assert s.tau == 16.0
+        assert s.train.xs == (2.0, 4.0, 8.0, 16.0)
+        assert s.holdout.xs == (32.0,)
+
+    def test_auto_is_midpoint_of_own_train_side(self):
+        # train sides [1, 32] and [1e3, 5e5]: midpoints 5.66 and 22361
+        for xs, kept in (([1, 2, 4, 8, 16, 32, 64], (8.0, 16.0, 32.0)),
+                         ([1e3, 1e4, 1e5, 5e5, 1e6], (1e5, 5e5))):
+            c = make_curve(xs, np.linspace(0.5, 0.2, len(xs)))
+            s = prepare_split(c, cutoff="auto")
+            assert s.train.xs == kept
+            assert s.holdout == split_for_extrapolation(c).holdout
+
+    def test_negative_cutoff_rejected(self):
+        c = make_curve([1, 2, 4, 8], [0.5, 0.4, 0.3, 0.2])
+        with pytest.raises(CurveError):
+            prepare_split(c, cutoff=-1.0)

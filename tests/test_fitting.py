@@ -267,13 +267,19 @@ class TestFitM4:
         assert r.params.eps0 == 1.0
 
     def test_fix_alpha_zero_equals_m2_on_power_law_curve(self):
-        curve = generate_from_model(M2Params(0.1, 0.8, -0.4), XS12, eps0=1.0)
-        r4 = fit_m4(curve, FAST, fix_alpha_zero=True)
-        r2 = fit_m2(curve, FAST)
-        assert r4.params.alpha == 0.0
-        assert r4.params.eps_inf == pytest.approx(r2.params.eps_inf, abs=1e-6)
-        assert r4.params.beta == pytest.approx(r2.params.beta, abs=1e-6)
-        assert r4.params.c == pytest.approx(r2.params.c, abs=1e-6)
+        # M2 is M4 without the alpha column: the two fits agree bit for bit
+        for noise in (0.0, 0.03):
+            curve = generate_from_model(M2Params(0.1, 0.8, -0.4), XS12, noise_sigma=noise,
+                                        rng=np.random.default_rng(11), eps0=1.0)
+            for cfg in (FAST, FitConfig()):
+                r4 = fit_m4(curve, cfg, fix_alpha_zero=True)
+                r2 = fit_m2(curve, cfg)
+                assert r4.params.alpha == 0.0
+                assert r4.params.eps0 == curve.eps0
+                assert (r4.params.eps_inf, r4.params.beta, r4.params.c) == (
+                    r2.params.eps_inf, r2.params.beta, r2.params.c)
+                assert (r4.train_loss, r4.iterations, r4.converged) == (
+                    r2.train_loss, r2.iterations, r2.converged)
 
     def test_reduction_chain_to_m1(self):
         curve = generate_from_model(M2Params(0.0, 1.1, -0.3), XS12, eps0=2.0)
@@ -321,6 +327,38 @@ class TestFitM4:
         # but three points suffice with alpha pinned
         fit_m4(curve_of([1, 2, 4], [0.5, 0.4, 0.3]),
                FitConfig(max_outer_iters=5), fix_alpha_zero=True)
+
+
+class TestGradientDrivesFit:
+    """One outer iteration without backtracking moves theta by -rate times
+    the public gradient at the params solved at theta0 (a pinned fit); the
+    tolerance covers only beta's round trip through exp and log."""
+
+    def test_m2_step_uses_dloss_m4_deps_inf(self):
+        rng = np.random.default_rng(9)
+        curve = generate_from_model(
+            M2Params(0.2, 1.0, -0.5), XS12, noise_sigma=0.02, rng=rng, eps0=2.0
+        )
+        p0 = fit_m2(curve, FitConfig(learning_rate=0.0)).params
+        grad = dloss_m4_deps_inf(curve, M4Params(curve.eps0, p0.eps_inf, 0.0, p0.beta, p0.c))
+        cfg = FitConfig(rate_multiplier=1e5, max_outer_iters=1)
+        hi = (1.0 - cfg.eps_inf_margin) * min(curve.eps)
+        expect = min(max(p0.eps_inf - cfg.effective_rate * grad, 0.0), hi)
+        assert expect != p0.eps_inf
+        assert fit_m2(curve, cfg).params.eps_inf == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma0", [0.001, 0.02])
+    def test_m3_step_uses_dloss_m3_dgamma(self, gamma0):
+        rng = np.random.default_rng(9)
+        curve = generate_from_model(
+            M3Params(0.8, 0.4, 0.01), XS12, noise_sigma=0.02, rng=rng, eps0=2.0
+        )
+        p0 = fit_m3(curve, FitConfig(learning_rate=0.0, gamma_init=gamma0)).params
+        grad = dloss_m3_dgamma(curve, p0)
+        cfg = FitConfig(rate_multiplier=1e4, max_outer_iters=1, gamma_init=gamma0)
+        expect = max(gamma0 - cfg.effective_rate * grad, 0.0)
+        assert expect != gamma0
+        assert fit_m3(curve, cfg).params.gamma == pytest.approx(expect, rel=1e-12)
 
 
 class TestFitConfig:
