@@ -8,15 +8,17 @@ Subcommands:
     synth     generate noisy-sphere logistic-regression task files
     plotdata  emit columnar fit-vs-observation data for plotting
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 fit failure under
---strict.
+A model that cannot be fit is recorded, and the others still fit, under
+fit, evaluate, benchmark and plotdata alike (evaluation.fit_models).
+
+Exit codes: 0 success, 1 usage error, 2 data error (task or flag values
+only), 3 fit failure under --strict or when plotdata fits no model.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -24,13 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from .curve import CurveError, apply_cutoff, prepare_split, truncate_at_peak
-from .evaluation import ALL_MODEL_NAMES, MODEL_NAMES, TieRule, evaluate_task, fit_model
-from .fitting import FitConfig, FitError
+from .evaluation import ALL_MODEL_NAMES, MODEL_NAMES, TieRule, evaluate_task, fit_models
+from .fitting import FitConfig, FitError, FitResult
 from .harness import (
     TaskFormatError,
     emit_plot_data,
     emit_report,
     load_task,
+    report_doc,
     run_benchmark,
     save_task,
 )
@@ -91,9 +94,12 @@ def _parse_cutoff(spec: str):
     return value
 
 
-def _params_doc(params):
-    doc = {k: v for k, v in asdict(params).items()}
-    doc["model_form"] = type(params).__name__
+def _fit_doc(fit):
+    """A fit_models entry as JSON: {"error": diagnostic}, or the FitResult."""
+    if isinstance(fit, str):
+        return {"error": fit}
+    doc = asdict(fit)
+    doc["params"]["model_form"] = type(fit.params).__name__
     return doc
 
 
@@ -103,21 +109,23 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit models to one task file")
+    p_fit.set_defaults(run=_cmd_fit)
     p_fit.add_argument("task", type=Path)
     _add_fit_flags(p_fit)
 
     p_eval = sub.add_parser("evaluate", help="extrapolation report for one task")
+    p_eval.set_defaults(run=_cmd_evaluate)
     p_eval.add_argument("task", type=Path)
     _add_fit_flags(p_eval)
-    p_eval.add_argument("--tie-rel", type=float, default=0.05)
-    p_eval.add_argument("--tie-abs", type=float, default=1e-4)
 
     p_bench = sub.add_parser("benchmark", help="run a directory of task files")
+    p_bench.set_defaults(run=_cmd_benchmark)
     p_bench.add_argument("tasks", type=Path, nargs="+",
                          help="task files or directories of *.json task files")
     _add_fit_flags(p_bench)
-    p_bench.add_argument("--tie-rel", type=float, default=0.05)
-    p_bench.add_argument("--tie-abs", type=float, default=1e-4)
+    for p in (p_eval, p_bench):
+        p.add_argument("--tie-rel", type=float, default=0.05)
+        p.add_argument("--tie-abs", type=float, default=1e-4)
     p_bench.add_argument("--format", choices=("table", "json"), default="table")
     p_bench.add_argument("--seed", type=int, default=None,
                          help="recorded in the run for provenance")
@@ -125,6 +133,7 @@ def build_parser() -> _Parser:
                          help="exit 3 if any model fails to fit on any task")
 
     p_synth = sub.add_parser("synth", help="generate sphere-task files")
+    p_synth.set_defaults(run=_cmd_synth)
     p_synth.add_argument("--d", type=int, default=100)
     p_synth.add_argument("--delta", type=float, default=0.2)
     p_synth.add_argument("--sizes", type=str, default="4:4096:16",
@@ -137,6 +146,7 @@ def build_parser() -> _Parser:
     p_synth.add_argument("--out-dir", type=Path, default=Path("."))
 
     p_plot = sub.add_parser("plotdata", help="columnar fit data for plotting")
+    p_plot.set_defaults(run=_cmd_plotdata)
     p_plot.add_argument("task", type=Path)
     _add_fit_flags(p_plot)
     p_plot.add_argument("--grid-points", type=int, default=50)
@@ -169,50 +179,29 @@ def _cmd_fit(args) -> int:
     if args.truncate_at_peak:
         curve = truncate_at_peak(curve)
     cutoff = _parse_cutoff(args.cutoff)
-    if cutoff == "auto":  # fit has no split: the midpoint of the whole curve
-        cutoff = math.sqrt(curve.xs[0] * curve.xs[-1])
-    if cutoff > 0:
+    if cutoff != 0:  # fit has no split: "auto" is the midpoint of the whole curve
         curve = apply_cutoff(curve, cutoff)
-    cfg = _cfg_from(args)
-    models = args.model or list(MODEL_NAMES)
-    out = {}
-    for name in models:
-        try:
-            result = fit_model(name, curve, cfg)
-            out[name] = {
-                "params": _params_doc(result.params),
-                "train_loss": result.train_loss,
-                "iterations": result.iterations,
-                "converged": result.converged,
-            }
-        except FitError as exc:
-            out[name] = {"error": str(exc)}
-    print(json.dumps({"task": curve.name, "fits": out}, indent=2))
+    fits = fit_models(curve, _cfg_from(args), args.model or MODEL_NAMES)
+    print(json.dumps({"task": curve.name,
+                      "fits": {m: _fit_doc(f) for m, f in fits.items()}}, indent=2))
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     split = prepare_split(load_task(args.task), args.truncate_at_peak,
                           _parse_cutoff(args.cutoff))
-    tie = TieRule(abs_tol=args.tie_abs, rel_tol=args.tie_rel)
-    report = evaluate_task(split, _cfg_from(args),
-                           args.model or MODEL_NAMES, tie)
-    print(json.dumps({
-        "task": report.task,
-        "tau": split.tau,
-        "rmse": report.rmse_by_model,
-        "winners": sorted(report.winners),
-        "fitted_exponent": report.fitted_exponent_by_model,
-        "diagnostics": report.diagnostics,
-    }, indent=2))
+    report = evaluate_task(split, _cfg_from(args), args.model or MODEL_NAMES,
+                           TieRule(abs_tol=args.tie_abs, rel_tol=args.tie_rel))
+    print(json.dumps({"task": report.task, "tau": split.tau, **report_doc(report)},
+                     indent=2))
     return 0
 
 
 def _cmd_benchmark(args) -> int:
     paths = _expand_task_paths(args.tasks)
-    tie = TieRule(abs_tol=args.tie_abs, rel_tol=args.tie_rel)
     run = run_benchmark(paths, _cfg_from(args), args.model or MODEL_NAMES,
-                        tie, truncate_peak=args.truncate_at_peak,
+                        TieRule(abs_tol=args.tie_abs, rel_tol=args.tie_rel),
+                        truncate_peak=args.truncate_at_peak,
                         cutoff=_parse_cutoff(args.cutoff), seed=args.seed)
     print(emit_report(run, format=args.format), end="")
     if args.strict and any(rep.diagnostics for rep in run.reports):
@@ -238,15 +227,12 @@ def _cmd_synth(args) -> int:
 def _cmd_plotdata(args) -> int:
     split = prepare_split(load_task(args.task), args.truncate_at_peak,
                           _parse_cutoff(args.cutoff))
-    cfg = _cfg_from(args)
-    fits = {}
-    for name in args.model or MODEL_NAMES:
-        try:
-            fits[name] = fit_model(name, split.train, cfg)
-        except FitError:
-            pass
+    results = fit_models(split.train, _cfg_from(args), args.model or MODEL_NAMES)
+    fits = {m: f for m, f in results.items() if isinstance(f, FitResult)}
+    if len(fits) < len(results):
+        print("scalefit: not fit: " + json.dumps(
+            {m: f for m, f in results.items() if m not in fits}), file=sys.stderr)
     if not fits:
-        print("no model could be fit", file=sys.stderr)
         return FIT_ERROR
     text = emit_plot_data(split, fits, grid_points=args.grid_points)
     if args.out is None:
@@ -256,22 +242,13 @@ def _cmd_plotdata(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "fit": _cmd_fit,
-    "evaluate": _cmd_evaluate,
-    "benchmark": _cmd_benchmark,
-    "synth": _cmd_synth,
-    "plotdata": _cmd_plotdata,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (OSError, TaskFormatError, CurveError, ValueError) as exc:
         print(f"scalefit: data error: {exc}", file=sys.stderr)
         return DATA_ERROR

@@ -94,12 +94,15 @@ class CurveSplit:
             raise CurveError("holdout side contains x <= tau")
 
 
-def apply_cutoff(curve: LearningCurve, tau: float) -> LearningCurve:
+def apply_cutoff(curve: LearningCurve, tau: float | str) -> LearningCurve:
     """Restrict a curve to the points with x >= tau.
 
+    tau is a nonnegative number or "auto", sqrt(x_min * x_max) of this curve.
     tau = 0 returns an identical curve. Raises CurveError when fewer than
     two points survive, since no model can be fit to the remainder.
     """
+    if tau == "auto":
+        tau = float(np.sqrt(curve.xs[0] * curve.xs[-1]))
     if tau < 0:
         raise CurveError("cutoff must be nonnegative")
     kept = [(x, e) for x, e in zip(curve.xs, curve.eps) if x >= tau]
@@ -150,14 +153,12 @@ def prepare_split(curve: LearningCurve, truncate_peak: bool = False,
     """Truncate at the peak (optionally), split for extrapolation, then
     restrict the train side to x >= cutoff; the holdout is kept whole.
 
-    cutoff is a nonnegative number or "auto", the geometric midpoint of
+    cutoff is as for apply_cutoff, so "auto" is the geometric midpoint of
     this curve's own train side.  0 keeps every train point.
     """
     if truncate_peak:
         curve = truncate_at_peak(curve)
     split = split_for_extrapolation(curve)
-    if cutoff == "auto":
-        cutoff = float(np.sqrt(split.train.xs[0] * split.train.xs[-1]))
     if cutoff == 0:
         return split
     return CurveSplit(apply_cutoff(split.train, cutoff), split.holdout, split.tau)

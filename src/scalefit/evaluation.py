@@ -81,6 +81,19 @@ def fit_model(name: str, curve, cfg: FitConfig) -> FitResult:
     raise ValueError(f"unknown model name: {name!r}")
 
 
+def fit_models(curve, cfg: FitConfig = FitConfig(), models=MODEL_NAMES) -> dict:
+    """name -> FitResult of each model on curve, in the order of models, or the
+    message of the FitError or ValueError that stopped it: a model that cannot
+    be fit is recorded and the others are still fit."""
+    fits = {}
+    for name in models:
+        try:
+            fits[name] = fit_model(name, curve, cfg)
+        except (FitError, ValueError) as exc:
+            fits[name] = str(exc)
+    return fits
+
+
 def winners_under(rmse_by_model: dict, tie: TieRule) -> frozenset:
     best = min(rmse_by_model.values())
     return frozenset(m for m, v in rmse_by_model.items() if tie.tie(v, best))
@@ -99,15 +112,16 @@ def evaluate_task(split: CurveSplit, cfg: FitConfig = FitConfig(),
     diagnostics = {}
     hold_x = split.holdout.x_array
     hold_eps = split.holdout.eps_array
-    for name in models:
-        try:
-            result = fit_model(name, split.train, cfg)
-            pred = np.asarray(predict(result.params, hold_x), dtype=float)
+    for name, fit in fit_models(split.train, cfg, models).items():
+        rmse[name], exponent[name] = math.inf, math.nan
+        if isinstance(fit, str):
+            diagnostics[name] = fit
+            continue
+        try:  # a prediction can still fail to score
+            pred = np.asarray(predict(fit.params, hold_x), dtype=float)
             rmse[name] = extrapolation_rmse(pred, hold_eps)
-            exponent[name] = result.params.c
-        except (FitError, ValueError) as exc:
-            rmse[name] = math.inf
-            exponent[name] = math.nan
+            exponent[name] = fit.params.c
+        except ValueError as exc:
             diagnostics[name] = str(exc)
     return ExtrapolationReport(
         task=split.train.name,
@@ -127,11 +141,7 @@ def rank_methods(reports) -> RankSummary:
     reports = list(reports)
     if not reports:
         raise ValueError("at least one report required")
-    names = []
-    for rep in reports:
-        for m in rep.rmse_by_model:
-            if m not in names:
-                names.append(m)
+    names = dict.fromkeys(m for rep in reports for m in rep.rmse_by_model)
     frac = {
         m: sum(m in rep.winners for rep in reports) / len(reports) for m in names
     }

@@ -17,6 +17,7 @@ max_outer_iters is reached.  loss_* and dloss_* evaluate the same residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,6 +25,8 @@ import numpy as np
 
 from .curve import LearningCurve
 from .models import M1Params, M2Params, M3Params, M4Params
+
+EPS_INF_MARGIN = 1e-6  # eps_inf is clamped to [0, (1 - EPS_INF_MARGIN) * min eps]
 
 
 class FitError(RuntimeError):
@@ -51,22 +54,19 @@ class FitConfig:
     convergence_tol: float = 1e-8
     eps_inf_init_fraction: float = 0.5
     gamma_init: float = 0.0
-    eps_inf_margin: float = 1e-6
     backtracking: bool = False
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.rate_multiplier < 0:
-            raise ValueError("learning rate terms must be nonnegative")
+        if not (0 <= self.learning_rate < math.inf and 0 <= self.rate_multiplier < math.inf):
+            raise ValueError("learning rate terms must be finite and nonnegative")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be positive")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
+        if not 0 < self.convergence_tol < math.inf:
+            raise ValueError("convergence_tol must be positive and finite")
         if not 0 <= self.eps_inf_init_fraction < 1:
             raise ValueError("eps_inf_init_fraction must be in [0, 1)")
         if self.gamma_init < 0:
             raise ValueError("gamma_init must be nonnegative")
-        if self.eps_inf_margin <= 0:
-            raise ValueError("eps_inf_margin must be positive")
 
     @property
     def effective_rate(self) -> float:
@@ -196,7 +196,7 @@ def _require_points(curve, n, model):
 
 def _descend(problem: _Separable, init, cfg):
     """Outer loop: exact least-squares coefficients, then one gradient step
-    on theta, clamped to [0, problem.hi].
+    on theta, clamped to [0, problem.hi].  A non-finite step raises FitError.
 
     Returns (theta, coeffs, loss, iterations, converged).
     """
@@ -213,6 +213,8 @@ def _descend(problem: _Separable, init, cfg):
         step = rate * problem.grad(theta, coeffs, resid)
         for _ in range(40 if cfg.backtracking else 1):
             candidate = min(max(theta - step, 0.0), problem.hi)
+            if not math.isfinite(candidate):
+                raise FitError("non-finite step during coordinate descent")
             c2, r2, l2 = problem.solve(candidate)
             if l2 <= loss or not cfg.backtracking:
                 break
@@ -223,29 +225,37 @@ def _descend(problem: _Separable, init, cfg):
     return theta, coeffs, loss, cfg.max_outer_iters, False
 
 
+def _finite(b0, *rest):
+    """(exp(b0), *rest) as floats; FitError, not an overflow, when one would
+    not be finite."""
+    if not (b0 < np.log(np.finfo(float).max) and np.all(np.isfinite(rest))):
+        raise FitError("fit produced a non-finite parameter")
+    return float(np.exp(b0)), *map(float, rest)
+
+
 def fit_m1(curve: LearningCurve) -> FitResult:
     """Closed-form least squares of log eps on (1, log x)."""
     _require_points(curve, 2, "M1")
     (b0, c), _, loss = _eps_inf_problem(curve, curve.eps0, alpha=False).solve(0.0)
-    return FitResult(M1Params(beta=float(np.exp(b0)), c=float(c)), loss, 1, True)
+    return FitResult(M1Params(*_finite(b0, c)), loss, 1, True)
 
 
 def _fit_eps_inf(curve, cfg, alpha):
-    """M4, or M2 when alpha is False: ((eps_inf, alpha, beta, c), loss,
+    """M4, or M2 when alpha is False: ((beta, c, eps_inf, alpha), loss,
     iterations, converged)."""
     eps_min = float(curve.eps_array.min())
     problem = _eps_inf_problem(curve, curve.eps0, alpha,
-                               hi=(1.0 - cfg.eps_inf_margin) * eps_min)
+                               hi=(1.0 - EPS_INF_MARGIN) * eps_min)
     e_inf, b, *rest = _descend(problem, cfg.eps_inf_init_fraction * eps_min, cfg)
     a, b0, c = b if alpha else (0.0, *b)
-    return (float(e_inf), float(a), float(np.exp(b0)), float(c)), *rest
+    return _finite(b0, c, e_inf, a), *rest
 
 
 def fit_m2(curve: LearningCurve, cfg: FitConfig = FitConfig()) -> FitResult:
     """Fit eps = eps_inf + beta * x^c: fit_m4 without the alpha column,
     the same fit as fit_m4(curve, cfg, fix_alpha_zero=True)."""
     _require_points(curve, 3, "M2")
-    (e_inf, _, beta, c), *rest = _fit_eps_inf(curve, cfg, alpha=False)
+    (beta, c, e_inf, _), *rest = _fit_eps_inf(curve, cfg, alpha=False)
     return FitResult(M2Params(eps_inf=e_inf, beta=beta, c=c), *rest)
 
 
@@ -258,8 +268,7 @@ def fit_m3(curve: LearningCurve, cfg: FitConfig = FitConfig()) -> FitResult:
     """
     _require_points(curve, 3, "M3")
     gamma, (b0, c), loss, iters, conv = _descend(_gamma_problem(curve), cfg.gamma_init, cfg)
-    return FitResult(M3Params(beta=float(np.exp(b0)), c=float(c), gamma=float(gamma)),
-                     loss, iters, conv)
+    return FitResult(M3Params(*_finite(b0, c, gamma)), loss, iters, conv)
 
 
 def fit_m4(curve: LearningCurve, cfg: FitConfig = FitConfig(),
@@ -271,10 +280,10 @@ def fit_m4(curve: LearningCurve, cfg: FitConfig = FitConfig(),
     a negative alpha is projected to zero by re-solving with the alpha
     feature dropped.  eps_inf then takes a gradient step with
     dL/deps_inf = mean(-2 r_i / (eps_i - eps_inf)) and is clamped to
-    [0, (1 - margin) * min eps].  fix_alpha_zero drops the alpha feature
+    [0, (1 - EPS_INF_MARGIN) * min eps].  fix_alpha_zero drops the alpha feature
     throughout (the no-alpha ablation variant, the same fit as fit_m2).
     """
     _require_points(curve, 3 if fix_alpha_zero else 4, "M4")
-    (e_inf, alpha, beta, c), *rest = _fit_eps_inf(curve, cfg, alpha=not fix_alpha_zero)
+    (beta, c, e_inf, alpha), *rest = _fit_eps_inf(curve, cfg, alpha=not fix_alpha_zero)
     return FitResult(M4Params(eps0=float(curve.eps0), eps_inf=e_inf, alpha=alpha,
                               beta=beta, c=c), *rest)

@@ -19,7 +19,6 @@ round-trip).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -125,8 +124,6 @@ def save_task(curve: LearningCurve, path, domain: str = "synthetic",
 class BenchmarkRun:
     reports: tuple
     summary: RankSummary
-    config: FitConfig
-    tie: TieRule
     seed: int | None = None
     skipped: tuple = ()  # (path, diagnostic) pairs
 
@@ -156,17 +153,20 @@ def run_benchmark(task_paths, cfg: FitConfig = FitConfig(), models=MODEL_NAMES,
     return BenchmarkRun(
         reports=tuple(reports),
         summary=rank_methods(reports),
-        config=cfg,
-        tie=tie,
         seed=seed,
         skipped=tuple(skipped),
     )
 
 
-def _fmt_rmse(v: float) -> str:
-    if math.isinf(v):
-        return "inf"
-    return f"{v:.1e}"
+def report_doc(rep) -> dict:
+    """One task's ExtrapolationReport as its JSON document, at full precision."""
+    return {
+        "task": rep.task,
+        "rmse": rep.rmse_by_model,
+        "winners": sorted(rep.winners),
+        "fitted_exponent": rep.fitted_exponent_by_model,
+        "diagnostics": rep.diagnostics,
+    }
 
 
 def emit_report(run: BenchmarkRun, format: str = "table") -> str:
@@ -179,16 +179,7 @@ def emit_report(run: BenchmarkRun, format: str = "table") -> str:
     model_names = list(run.reports[0].rmse_by_model)
     if format == "json":
         doc = {
-            "tasks": [
-                {
-                    "task": rep.task,
-                    "rmse": rep.rmse_by_model,
-                    "winners": sorted(rep.winners),
-                    "fitted_exponent": rep.fitted_exponent_by_model,
-                    "diagnostics": rep.diagnostics,
-                }
-                for rep in run.reports
-            ],
+            "tasks": [report_doc(rep) for rep in run.reports],
             "best_fraction": run.summary.best_fraction_by_model,
             "skipped": [list(s) for s in run.skipped],
             "seed": run.seed,
@@ -202,7 +193,7 @@ def emit_report(run: BenchmarkRun, format: str = "table") -> str:
         cells = [rep.task]
         for m in model_names:
             flag = "*" if m in rep.winners else ""
-            cells.append(_fmt_rmse(rep.rmse_by_model[m]) + flag)
+            cells.append(f"{rep.rmse_by_model[m]:.1e}{flag}")
         lines.append("\t".join(cells))
     lines.append("")
     lines.append("\t".join(["best_fraction"] +

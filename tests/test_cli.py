@@ -126,6 +126,53 @@ class TestCutoffAutoPerTask:
             assert bench[name] == json.loads(out)["rmse"]["M1"]
 
 
+class TestFitFailurePolicy:
+    """fit, plotdata and evaluate record a model that cannot be fit (here M3,
+    whose beta underflows to 0) and still report the others."""
+
+    FLAGS = ["--model", "M1", "--model", "M3", "--rate-multiplier", "1e12",
+             "--max-iters", "50"]
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        curve = LearningCurve((1, 10, 100, 1000, 4000, 8000),
+                              (0.5, 0.3, 0.2, 0.1, 0.09, 0.085), 1.0, name="six")
+        save_task(curve, tmp_path / "six.json")
+        return tmp_path / "six.json"
+
+    def test_fit_records_the_failed_model(self, capsys, path):
+        code, out, _ = run_cli(capsys, "fit", path, *self.FLAGS)
+        assert code == 0
+        fits = json.loads(out)["fits"]
+        assert fits["M1"]["converged"] and fits["M1"]["params"]["model_form"] == "M1Params"
+        assert fits["M3"] == {"error": "beta must be positive"}
+
+    def test_plotdata_keeps_the_fitted_model(self, capsys, path):
+        code, out, err = run_cli(capsys, "plotdata", path, *self.FLAGS)
+        assert code == 0
+        assert out.splitlines()[0] == "x,pred_M1,observed,split"
+        assert 'not fit: {"M3": "beta must be positive"}' in err
+
+    def test_evaluate_records_the_failed_model(self, capsys, path):
+        code, out, _ = run_cli(capsys, "evaluate", path, *self.FLAGS)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["winners"] == ["M1"]
+        assert doc["diagnostics"] == {"M3": "beta must be positive"}
+
+
+class TestEvaluateMatchesBenchmark:
+    def test_evaluate_is_the_benchmark_entry_plus_tau(self, capsys, task_file):
+        flags = ["--cutoff", "auto", *FAST_FLAGS]
+        code, out, _ = run_cli(capsys, "evaluate", task_file, *flags)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc.pop("tau") == 2048.0
+        code, out, _ = run_cli(capsys, "benchmark", task_file, "--format", "json", *flags)
+        assert code == 0
+        assert json.loads(out)["tasks"] == [doc]
+
+
 class TestSynthCommand:
     def test_generates_loadable_tasks(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "synth", "--d", "10", "--delta", "0.2",

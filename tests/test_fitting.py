@@ -4,6 +4,7 @@ import pytest
 from oracles import grid_fit_m2, grid_fit_m3, grid_fit_m4, relerr
 from scalefit.curve import LearningCurve
 from scalefit.fitting import (
+    EPS_INF_MARGIN,
     DegenerateDesignError,
     FitConfig,
     FitError,
@@ -342,7 +343,7 @@ class TestGradientDrivesFit:
         p0 = fit_m2(curve, FitConfig(learning_rate=0.0)).params
         grad = dloss_m4_deps_inf(curve, M4Params(curve.eps0, p0.eps_inf, 0.0, p0.beta, p0.c))
         cfg = FitConfig(rate_multiplier=1e5, max_outer_iters=1)
-        hi = (1.0 - cfg.eps_inf_margin) * min(curve.eps)
+        hi = (1.0 - EPS_INF_MARGIN) * min(curve.eps)
         expect = min(max(p0.eps_inf - cfg.effective_rate * grad, 0.0), hi)
         assert expect != p0.eps_inf
         assert fit_m2(curve, cfg).params.eps_inf == pytest.approx(expect, rel=1e-12)
@@ -361,6 +362,24 @@ class TestGradientDrivesFit:
         assert fit_m3(curve, cfg).params.gamma == pytest.approx(expect, rel=1e-12)
 
 
+class TestNonFiniteFits:
+    """A fit gives finite parameters or raises FitError, without a numpy
+    error or warning on the way."""
+
+    CURVE = curve_of([1, 10, 100, 1000], [0.1, 0.2, 0.3, 0.5])
+
+    def test_overflowing_beta_is_fit_error(self):
+        # gamma runs to about 3e5 and log beta past the largest float's log
+        with pytest.raises(FitError, match="non-finite parameter"):
+            fit_m3(self.CURVE, FitConfig(rate_multiplier=1e12, max_outer_iters=50))
+
+    def test_non_finite_step_is_fit_error(self):
+        cfg = FitConfig(learning_rate=1e200, rate_multiplier=1e200)
+        assert cfg.effective_rate == float("inf")
+        with pytest.raises(FitError, match="non-finite step"):
+            fit_m3(self.CURVE, cfg)
+
+
 class TestFitConfig:
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
@@ -369,3 +388,7 @@ class TestFitConfig:
             FitConfig(eps_inf_init_fraction=1.0)
         with pytest.raises(ValueError):
             FitConfig(convergence_tol=0.0)
+        for field in ("learning_rate", "rate_multiplier", "convergence_tol"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError):
+                    FitConfig(**{field: value})

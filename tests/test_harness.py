@@ -163,8 +163,7 @@ def _toy_run():
                             fitted_exponent_by_model={m: -0.3 for m in rmse_a}),
     )
     from scalefit.evaluation import rank_methods
-    return BenchmarkRun(reports=reports, summary=rank_methods(reports),
-                        config=FitConfig(), tie=tie)
+    return BenchmarkRun(reports=reports, summary=rank_methods(reports))
 
 
 class TestEmitReport:
