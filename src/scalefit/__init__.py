@@ -24,8 +24,7 @@ from .evaluation import (
     TieRule,
     evaluate_task,
     extrapolation_rmse,
-    excess_risk_series,
-    fit_model,
+    fit_models,
     rank_methods,
 )
 from .fitting import (

@@ -21,9 +21,10 @@ class CurveError(ValueError):
 class LearningCurve:
     """Ordered samples (x, eps) of a loss against a scaled quantity.
 
-    Invariants: x strictly positive and strictly increasing (duplicates
-    rejected, the fitting design matrix assumes distinct log-x rows); every
-    eps in (0, eps0) so that both log(eps) and log(eps0 - eps) are finite.
+    Invariants: x finite, strictly positive and strictly increasing
+    (duplicates rejected, the fitting design matrix assumes distinct log-x
+    rows); eps0 finite; every eps in (0, eps0) so that both log(eps) and
+    log(eps0 - eps) are finite.
 
     A curve may hold a single point (e.g. the holdout side of a split or a
     degenerate peak truncation); fitters enforce their own minimum counts.
@@ -45,10 +46,10 @@ class LearningCurve:
             raise CurveError("xs and eps must have equal length")
         if len(xs) < 1:
             raise CurveError("curve needs at least one point")
-        if not self.eps0 > 0:
-            raise CurveError("eps0 must be positive")
-        if any(x <= 0 for x in xs):
-            raise CurveError("all x must be strictly positive")
+        if not 0 < self.eps0 < np.inf:
+            raise CurveError("eps0 must be positive and finite")
+        if not all(0 < x < np.inf for x in xs):
+            raise CurveError("all x must be positive and finite")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise CurveError("x values must be strictly increasing")
         for e in eps:

@@ -5,13 +5,13 @@ ties, and best-fraction ranking across task collections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .curve import CurveSplit
 from .fitting import FitConfig, FitError, FitResult, fit_m1, fit_m2, fit_m3, fit_m4
-from .models import predict
+from .models import M4Params, predict
 
 # canonical model names, in reporting order
 MODEL_NAMES = ("M1", "M2", "M3", "M4")
@@ -66,31 +66,28 @@ def extrapolation_rmse(predicted, actual) -> float:
     return float(np.sqrt(np.mean((np.log(p) - np.log(a)) ** 2)))
 
 
-def fit_model(name: str, curve, cfg: FitConfig) -> FitResult:
-    """Fit one model by canonical name on a training curve."""
-    if name == "M1":
-        return fit_m1(curve)
-    if name == "M2":
-        return fit_m2(curve, cfg)
-    if name == "M3":
-        return fit_m3(curve, cfg)
-    if name == "M4":
-        return fit_m4(curve, cfg)
-    if name == ABLATION_NAME:
-        return fit_m4(curve, cfg, fix_alpha_zero=True)
-    raise ValueError(f"unknown model name: {name!r}")
-
-
 def fit_models(curve, cfg: FitConfig = FitConfig(), models=MODEL_NAMES) -> dict:
     """name -> FitResult of each model on curve, in the order of models, or the
     message of the FitError or ValueError that stopped it: a model that cannot
-    be fit is recorded and the others are still fit."""
-    fits = {}
+    be fit is recorded and the others are still fit.  The no-alpha ablation
+    is M2's fit, fit once, reported as M4Params(eps0, eps_inf, 0, beta, c)."""
+    fitters = {"M1": lambda: fit_m1(curve), "M2": lambda: fit_m2(curve, cfg),
+               "M3": lambda: fit_m3(curve, cfg), "M4": lambda: fit_m4(curve, cfg)}
+    fits, done = {}, {}
     for name in models:
-        try:
-            fits[name] = fit_model(name, curve, cfg)
-        except (FitError, ValueError) as exc:
-            fits[name] = str(exc)
+        key = "M2" if name == ABLATION_NAME else name
+        if key not in done:
+            try:
+                if key not in fitters:
+                    raise ValueError(f"unknown model name: {name!r}")
+                done[key] = fitters[key]()
+            except (FitError, ValueError) as exc:
+                done[key] = str(exc)
+        fits[name] = done[key]
+        if name == ABLATION_NAME and isinstance(fits[name], FitResult):
+            p = fits[name].params
+            fits[name] = replace(fits[name], params=M4Params(
+                curve.eps0, p.eps_inf, 0.0, p.beta, p.c))
     return fits
 
 
@@ -147,15 +144,3 @@ def rank_methods(reports) -> RankSummary:
     }
     return RankSummary(best_fraction_by_model=frac)
 
-
-def excess_risk_series(curve, eps_inf: float):
-    """(x, eps - eps_inf) pairs for log-log excess-risk plotting."""
-    if eps_inf < 0:
-        raise ValueError("eps_inf must be nonnegative")
-    out = []
-    for x, e in zip(curve.xs, curve.eps):
-        excess = e - eps_inf
-        if excess <= 0:
-            raise ValueError(f"nonpositive excess at x={x}")
-        out.append((x, excess))
-    return out

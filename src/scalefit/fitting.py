@@ -252,8 +252,8 @@ def _fit_eps_inf(curve, cfg, alpha):
 
 
 def fit_m2(curve: LearningCurve, cfg: FitConfig = FitConfig()) -> FitResult:
-    """Fit eps = eps_inf + beta * x^c: fit_m4 without the alpha column,
-    the same fit as fit_m4(curve, cfg, fix_alpha_zero=True)."""
+    """Fit eps = eps_inf + beta * x^c: fit_m4 without the alpha column, so
+    also the no-alpha ablation, which evaluation.fit_models reports from it."""
     _require_points(curve, 3, "M2")
     (beta, c, e_inf, _), *rest = _fit_eps_inf(curve, cfg, alpha=False)
     return FitResult(M2Params(eps_inf=e_inf, beta=beta, c=c), *rest)
@@ -271,8 +271,7 @@ def fit_m3(curve: LearningCurve, cfg: FitConfig = FitConfig()) -> FitResult:
     return FitResult(M3Params(*_finite(b0, c, gamma)), loss, iters, conv)
 
 
-def fit_m4(curve: LearningCurve, cfg: FitConfig = FitConfig(),
-           fix_alpha_zero: bool = False) -> FitResult:
+def fit_m4(curve: LearningCurve, cfg: FitConfig = FitConfig()) -> FitResult:
     """Fit (eps - eps_inf)/(eps0 - eps)^alpha = beta x^c.
 
     eps0 is fixed to curve.eps0.  Given eps_inf, (alpha, log beta, c) is the
@@ -280,10 +279,10 @@ def fit_m4(curve: LearningCurve, cfg: FitConfig = FitConfig(),
     a negative alpha is projected to zero by re-solving with the alpha
     feature dropped.  eps_inf then takes a gradient step with
     dL/deps_inf = mean(-2 r_i / (eps_i - eps_inf)) and is clamped to
-    [0, (1 - EPS_INF_MARGIN) * min eps].  fix_alpha_zero drops the alpha feature
-    throughout (the no-alpha ablation variant, the same fit as fit_m2).
+    [0, (1 - EPS_INF_MARGIN) * min eps].  The no-alpha ablation is not fit
+    here: with alpha = 0 this is fit_m2, whose fit evaluation.fit_models reports.
     """
-    _require_points(curve, 3 if fix_alpha_zero else 4, "M4")
-    (beta, c, e_inf, alpha), *rest = _fit_eps_inf(curve, cfg, alpha=not fix_alpha_zero)
+    _require_points(curve, 4, "M4")
+    (beta, c, e_inf, alpha), *rest = _fit_eps_inf(curve, cfg, alpha=True)
     return FitResult(M4Params(eps0=float(curve.eps0), eps_inf=e_inf, alpha=alpha,
                               beta=beta, c=c), *rest)

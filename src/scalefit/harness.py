@@ -48,8 +48,8 @@ def load_task(source) -> LearningCurve:
     """Parse, convert, and validate a task document.
 
     source may be a path or an open text stream.  Distinct diagnostics are
-    raised for schema violations, nonpositive x, out-of-range values, and
-    duplicate x.
+    raised for schema violations, nonpositive or non-finite x and eps0,
+    out-of-range values, and duplicate x.
     """
     if hasattr(source, "read"):
         text = source.read()

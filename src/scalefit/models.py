@@ -6,7 +6,7 @@ Naming follows the usual scaling-law literature:
     M2:  eps = eps_inf + beta * x^c
     M3:  eps = beta * (1/x + gamma)^c        (see sign note below)
     M4:  (eps - eps_inf) / (eps0 - eps)^alpha = beta * x^c
-    M4 without alpha: M4 with alpha pinned to 0 during fitting
+    M4 without alpha: M4 with alpha = 0, which is M2 (reported from M2's fit)
 
 Sign convention for M3: the fitted objective is log eps = log beta +
 c * log(1/x + gamma), so the stored c is the regression coefficient.  A

@@ -155,14 +155,12 @@ def generate_sphere_curve(spec: SphereTaskSpec) -> SyntheticCurve:
 
 def generate_from_model(params, xs, noise_sigma: float = 0.0,
                         rng: np.random.Generator | None = None,
-                        eps0: float | None = None,
-                        additive: bool = False) -> LearningCurve:
+                        eps0: float | None = None) -> LearningCurve:
     """Sample a curve from a model class, optionally with noise.
 
-    Default noise is multiplicative log-normal, eps = prediction *
-    exp(N(0, sigma^2)), the natural perturbation for square-log objectives;
-    additive=True uses prediction + N(0, sigma^2) instead.  eps0 defaults
-    to the params' eps0 when present, else just above the largest value.
+    Noise is multiplicative log-normal, eps = prediction * exp(N(0, sigma^2)),
+    the natural perturbation for square-log objectives.  eps0 defaults to
+    the params' eps0 when present, else just above the largest value.
     """
     xs = tuple(float(x) for x in xs)
     pred = np.asarray(predict(params, np.asarray(xs)), dtype=float)
@@ -171,8 +169,7 @@ def generate_from_model(params, xs, noise_sigma: float = 0.0,
     if noise_sigma > 0:
         if rng is None:
             raise ValueError("rng required when noise_sigma > 0")
-        noise = rng.standard_normal(len(xs)) * noise_sigma
-        eps = pred + noise if additive else pred * np.exp(noise)
+        eps = pred * np.exp(rng.standard_normal(len(xs)) * noise_sigma)
     else:
         eps = pred
     if eps0 is None:

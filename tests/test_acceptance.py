@@ -14,10 +14,12 @@ import conftest
 from oracles import grid_fit_m2, grid_fit_m3, grid_fit_m4, relerr
 from scalefit.curve import CurveSplit, apply_cutoff, split_for_extrapolation
 from scalefit.evaluation import (
+    ABLATION_NAME,
     ExtrapolationReport,
     TieRule,
     evaluate_task,
     extrapolation_rmse,
+    fit_models,
     rank_methods,
     winners_under,
 )
@@ -112,7 +114,7 @@ def test_criterion_02_reduction_exactness():
         curve = generate_from_model(
             M1Params(r.uniform(0.3, 1.5), r.uniform(-0.9, -0.2)), XS12,
             noise_sigma=0.05, rng=r, eps0=10.0)
-        f4 = fit_m4(curve, pinned, fix_alpha_zero=True).params
+        f4 = fit_models(curve, pinned, (ABLATION_NAME,))[ABLATION_NAME].params
         f1 = fit_m1(curve).params
         worst_fit = max(worst_fit, abs(f4.beta - f1.beta), abs(f4.c - f1.c),
                         f4.eps_inf, f4.alpha)

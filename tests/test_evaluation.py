@@ -5,19 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalefit import evaluation, fitting
 from scalefit.curve import CurveSplit, LearningCurve, split_for_extrapolation
 from scalefit.evaluation import (
+    ABLATION_NAME,
     MODEL_NAMES,
     ExtrapolationReport,
     TieRule,
     evaluate_task,
-    excess_risk_series,
     extrapolation_rmse,
+    fit_models,
     rank_methods,
     winners_under,
 )
 from scalefit.fitting import FitConfig
-from scalefit.models import M2Params
+from scalefit.models import M2Params, M4Params
 from scalefit.synthetic import generate_from_model
 
 FAST = FitConfig(rate_multiplier=1e6, convergence_tol=1e-13,
@@ -145,21 +147,42 @@ class TestRankMethods:
             assert 0.0 <= s.best_fraction_by_model[m] <= 1.0
 
 
-class TestExcessRiskSeries:
-    def test_identity_at_zero(self):
-        c = LearningCurve((1, 2, 4), (0.5, 0.4, 0.3), 1.0)
-        assert excess_risk_series(c, 0.0) == [(1.0, 0.5), (2.0, 0.4), (4.0, 0.3)]
+class TestFitModels:
+    @staticmethod
+    def _count_fits(monkeypatch):
+        """The fit_m2 and fit_m4 calls fit_models makes, in order."""
+        calls = []
+        monkeypatch.setattr(evaluation, "fit_m2",
+                            lambda *a: calls.append("M2") or fitting.fit_m2(*a))
+        monkeypatch.setattr(evaluation, "fit_m4",
+                            lambda *a: calls.append("M4") or fitting.fit_m4(*a))
+        return calls
 
-    def test_m2_curve_becomes_log_linear(self):
-        true = M2Params(eps_inf=0.2, beta=1.0, c=-0.5)
-        curve = generate_from_model(true, np.geomspace(1, 4096, 13), eps0=2.0)
-        series = excess_risk_series(curve, 0.2)
-        logx = np.log([x for x, _ in series])
-        logy = np.log([y for _, y in series])
-        slopes = np.diff(logy) / np.diff(logx)
-        assert np.allclose(slopes, -0.5, atol=1e-10)
+    def test_ablation_is_m2_fit_once(self, monkeypatch):
+        # M4 with alpha = 0 is M2: the ablation is M2's fit, as M4 params
+        calls = self._count_fits(monkeypatch)
+        for noise in (0.0, 0.03):
+            curve = generate_from_model(M2Params(0.1, 0.8, -0.4), np.geomspace(1, 2048, 12),
+                                        noise_sigma=noise, rng=np.random.default_rng(11),
+                                        eps0=1.0)
+            for cfg in (FAST, FitConfig()):
+                r2 = fitting.fit_m2(curve, cfg)
+                for models in (("M2", ABLATION_NAME), (ABLATION_NAME,)):
+                    calls.clear()
+                    fits = fit_models(curve, cfg, models)
+                    assert calls == ["M2"]
+                    r4 = fits[ABLATION_NAME]
+                    assert fits.get("M2", r2) == r2
+                    assert r4.params == M4Params(curve.eps0, r2.params.eps_inf, 0.0,
+                                                 r2.params.beta, r2.params.c)
+                    assert (r4.train_loss, r4.iterations, r4.converged) == (
+                        r2.train_loss, r2.iterations, r2.converged)
 
-    def test_nonpositive_excess_rejected(self):
-        c = LearningCurve((1, 2), (0.5, 0.3), 1.0)
-        with pytest.raises(ValueError):
-            excess_risk_series(c, 0.3)
+    def test_m2_failure_recorded_under_each_name(self, monkeypatch):
+        calls = self._count_fits(monkeypatch)
+        curve = LearningCurve((1, 2, 8), (0.5, 0.4, 0.3), 1.0)  # train side: 2 points
+        report = evaluate_task(split_for_extrapolation(curve), FAST,
+                               models=(ABLATION_NAME, "M2"))
+        msg = "M2 needs at least 3 points, got 2"
+        assert report.diagnostics == {ABLATION_NAME: msg, "M2": msg}
+        assert calls == ["M2"]

@@ -3,11 +3,13 @@ import pytest
 
 from oracles import grid_fit_m2, grid_fit_m3, grid_fit_m4, relerr
 from scalefit.curve import LearningCurve
+from scalefit.evaluation import ABLATION_NAME, fit_models
 from scalefit.fitting import (
     EPS_INF_MARGIN,
     DegenerateDesignError,
     FitConfig,
     FitError,
+    FitResult,
     dloss_m3_dgamma,
     dloss_m4_deps_inf,
     fit_m1,
@@ -267,25 +269,10 @@ class TestFitM4:
             assert relerr(getattr(oracle, name), getattr(true, name)) < 1e-2
         assert r.params.eps0 == 1.0
 
-    def test_fix_alpha_zero_equals_m2_on_power_law_curve(self):
-        # M2 is M4 without the alpha column: the two fits agree bit for bit
-        for noise in (0.0, 0.03):
-            curve = generate_from_model(M2Params(0.1, 0.8, -0.4), XS12, noise_sigma=noise,
-                                        rng=np.random.default_rng(11), eps0=1.0)
-            for cfg in (FAST, FitConfig()):
-                r4 = fit_m4(curve, cfg, fix_alpha_zero=True)
-                r2 = fit_m2(curve, cfg)
-                assert r4.params.alpha == 0.0
-                assert r4.params.eps0 == curve.eps0
-                assert (r4.params.eps_inf, r4.params.beta, r4.params.c) == (
-                    r2.params.eps_inf, r2.params.beta, r2.params.c)
-                assert (r4.train_loss, r4.iterations, r4.converged) == (
-                    r2.train_loss, r2.iterations, r2.converged)
-
     def test_reduction_chain_to_m1(self):
         curve = generate_from_model(M2Params(0.0, 1.1, -0.3), XS12, eps0=2.0)
         cfg = FitConfig(learning_rate=0.0, eps_inf_init_fraction=0.0)
-        r4 = fit_m4(curve, cfg, fix_alpha_zero=True)
+        r4 = fit_models(curve, cfg, (ABLATION_NAME,))[ABLATION_NAME]
         r1 = fit_m1(curve)
         assert r4.params.eps_inf == 0.0 and r4.params.alpha == 0.0
         assert r4.params.beta == pytest.approx(r1.params.beta, rel=1e-12)
@@ -326,8 +313,9 @@ class TestFitM4:
         with pytest.raises(FitError):
             fit_m4(curve_of([1, 2, 4], [0.5, 0.4, 0.3]))
         # but three points suffice with alpha pinned
-        fit_m4(curve_of([1, 2, 4], [0.5, 0.4, 0.3]),
-               FitConfig(max_outer_iters=5), fix_alpha_zero=True)
+        fit = fit_models(curve_of([1, 2, 4], [0.5, 0.4, 0.3]),
+                         FitConfig(max_outer_iters=5), (ABLATION_NAME,))[ABLATION_NAME]
+        assert isinstance(fit, FitResult)
 
 
 class TestGradientDrivesFit:

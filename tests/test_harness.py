@@ -71,6 +71,16 @@ class TestLoadTask:
         with pytest.raises(TaskFormatError, match="nonpositive x"):
             load_doc(doc(points=[[0, 0.5], [2, 0.4]]))
 
+    @pytest.mark.parametrize("changes", [
+        {"loss_random_guess": math.inf},
+        {"points": [[1, 0.5], [math.nan, 0.4], [4, 0.3]]},
+        {"points": [[1, 0.5], [math.inf, 0.4], [4, 0.3]]},
+    ], ids=["inf-eps0", "nan-x", "inf-x"])
+    def test_non_finite_rejected(self, changes):
+        # json writes these as Infinity and NaN, which json.loads accepts
+        with pytest.raises(TaskFormatError, match="finite"):
+            load_doc(doc(**changes))
+
     def test_duplicate_x(self):
         with pytest.raises(TaskFormatError, match="duplicate"):
             load_doc(doc(points=[[2, 0.5], [2, 0.4]]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scalefit.models import M1Params, M2Params
+from scalefit.models import M1Params
 from scalefit.synthetic import (
     SphereTaskSpec,
     generate_from_model,
@@ -156,11 +156,3 @@ class TestGenerateFromModel:
                 rng=np.random.default_rng(seed), eps0=3.0)
             errors.append(abs(fit_m1(curve).params.c - (-0.4)))
         assert max(errors) < 0.02
-
-    def test_additive_noise_mode(self):
-        rng = np.random.default_rng(0)
-        curve = generate_from_model(M2Params(0.2, 1.0, -0.5), (1, 4, 16),
-                                    noise_sigma=1e-4, rng=rng, eps0=3.0,
-                                    additive=True)
-        preds = np.array([1.2, 0.7, 0.45])
-        assert np.allclose(curve.eps_array, preds, atol=1e-3)
