@@ -20,7 +20,6 @@ from .evaluation import (
     ALL_MODEL_NAMES,
     MODEL_NAMES,
     ExtrapolationReport,
-    RankSummary,
     TieRule,
     evaluate_task,
     extrapolation_rmse,

@@ -64,10 +64,11 @@ def _add_fit_flags(p):
                    help="lower x cutoff for fitting, a number or 'auto' "
                         "(geometric midpoint of each task's train side; "
                         "of the whole curve for fit)")
-    p.add_argument("--lr", type=float, default=1e-7, help="gradient learning rate")
-    p.add_argument("--rate-multiplier", type=float, default=1.0,
+    p.add_argument("--lr", type=float, default=FitConfig.learning_rate,
+                   help="gradient learning rate")
+    p.add_argument("--rate-multiplier", type=float, default=FitConfig.rate_multiplier,
                    help="uniform multiplier on the learning rate")
-    p.add_argument("--max-iters", type=int, default=100_000,
+    p.add_argument("--max-iters", type=int, default=FitConfig.max_outer_iters,
                    help="max outer coordinate-descent iterations")
     p.add_argument("--truncate-at-peak", action="store_true",
                    help="truncate each curve at its first loss minimum")
@@ -124,8 +125,8 @@ def build_parser() -> _Parser:
                          help="task files or directories of *.json task files")
     _add_fit_flags(p_bench)
     for p in (p_eval, p_bench):
-        p.add_argument("--tie-rel", type=float, default=0.05)
-        p.add_argument("--tie-abs", type=float, default=1e-4)
+        p.add_argument("--tie-rel", type=float, default=TieRule.rel_tol)
+        p.add_argument("--tie-abs", type=float, default=TieRule.abs_tol)
     p_bench.add_argument("--format", choices=("table", "json"), default="table")
     p_bench.add_argument("--seed", type=int, default=None,
                          help="recorded in the run for provenance")
@@ -138,8 +139,8 @@ def build_parser() -> _Parser:
     p_synth.add_argument("--delta", type=float, default=0.2)
     p_synth.add_argument("--sizes", type=str, default="4:4096:16",
                          help="geometric grid min:max:count, or comma list")
-    p_synth.add_argument("--test-size", type=int, default=4000)
-    p_synth.add_argument("--trials", type=int, default=16)
+    p_synth.add_argument("--test-size", type=int, default=SphereTaskSpec.test_size)
+    p_synth.add_argument("--trials", type=int, default=SphereTaskSpec.trials)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--curves", type=int, default=1,
                          help="number of curves (seeds seed..seed+n-1)")

@@ -24,7 +24,7 @@ class LearningCurve:
     Invariants: x finite, strictly positive and strictly increasing
     (duplicates rejected, the fitting design matrix assumes distinct log-x
     rows); eps0 finite; every eps in (0, eps0) so that both log(eps) and
-    log(eps0 - eps) are finite.
+    log(eps0 - eps) are finite.  Each violation names the x it occurs at.
 
     A curve may hold a single point (e.g. the holdout side of a split or a
     degenerate peak truncation); fitters enforce their own minimum counts.
@@ -48,17 +48,15 @@ class LearningCurve:
             raise CurveError("curve needs at least one point")
         if not 0 < self.eps0 < np.inf:
             raise CurveError("eps0 must be positive and finite")
-        if not all(0 < x < np.inf for x in xs):
-            raise CurveError("all x must be positive and finite")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise CurveError("x values must be strictly increasing")
-        for e in eps:
-            if not e > 0:
-                raise CurveError("all eps must be strictly positive")
-            if not e < self.eps0:
-                raise CurveError(
-                    "eps must be strictly below eps0 (log(eps0 - eps) must be finite)"
-                )
+        for prev, x, e in zip((0.0,) + xs, xs, eps):
+            if not 0 < x < np.inf:
+                raise CurveError(f"nonpositive x {x}" if x <= 0 else f"x {x} is not finite")
+            if x <= prev:
+                raise CurveError(f"duplicate x {x}" if x == prev else
+                                 f"x {x} follows x {prev}; x must be strictly increasing")
+            if not 0 < e < self.eps0:
+                raise CurveError(f"eps {e} at x {x} outside (0, eps0={self.eps0}); "
+                                 "log(eps0 - eps) would be undefined")
 
     def __len__(self):
         return len(self.xs)
@@ -117,15 +115,13 @@ def split_for_extrapolation(curve: LearningCurve) -> CurveSplit:
     """Split at tau = x_max / 2: train on [0, tau], hold out (tau, x_max].
 
     The train side must keep at least two points (the minimum any model
-    with two parameters can be fit to) and the holdout at least one.
+    with two parameters can be fit to); the holdout always keeps x_max.
     """
     tau = max(curve.xs) / 2.0
     train_pts = [(x, e) for x, e in zip(curve.xs, curve.eps) if x <= tau]
     hold_pts = [(x, e) for x, e in zip(curve.xs, curve.eps) if x > tau]
     if len(train_pts) < 2:
         raise CurveError("train split has fewer than 2 points")
-    if not hold_pts:
-        raise CurveError("holdout split is empty")
     txs, teps = zip(*train_pts)
     hxs, heps = zip(*hold_pts)
     return CurveSplit(

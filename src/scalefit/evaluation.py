@@ -46,11 +46,6 @@ class ExtrapolationReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class RankSummary:
-    best_fraction_by_model: dict
-
-
 def extrapolation_rmse(predicted, actual) -> float:
     """sqrt(mean((log predicted - log actual)^2)).
 
@@ -129,8 +124,8 @@ def evaluate_task(split: CurveSplit, cfg: FitConfig = FitConfig(),
     )
 
 
-def rank_methods(reports) -> RankSummary:
-    """Fraction of tasks in which each model appears among the winners.
+def rank_methods(reports) -> dict:
+    """model -> fraction of tasks in which it appears among the winners.
 
     Several models can tie as jointly best in one task, so fractions may
     sum to more than one.
@@ -139,8 +134,7 @@ def rank_methods(reports) -> RankSummary:
     if not reports:
         raise ValueError("at least one report required")
     names = dict.fromkeys(m for rep in reports for m in rep.rmse_by_model)
-    frac = {
+    return {
         m: sum(m in rep.winners for rep in reports) / len(reports) for m in names
     }
-    return RankSummary(best_fraction_by_model=frac)
 

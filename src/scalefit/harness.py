@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .curve import CurveError, LearningCurve, prepare_split
-from .evaluation import MODEL_NAMES, RankSummary, TieRule, evaluate_task, rank_methods
+from .evaluation import MODEL_NAMES, TieRule, evaluate_task, rank_methods
 from .fitting import FitConfig
 from .models import predict
 
@@ -45,18 +45,18 @@ _REQUIRED_FIELDS = {
 
 
 def load_task(source) -> LearningCurve:
-    """Parse, convert, and validate a task document.
+    """Parse and convert a task document, then build its LearningCurve.
 
-    source may be a path or an open text stream.  Distinct diagnostics are
-    raised for schema violations, nonpositive or non-finite x and eps0,
-    out-of-range values, and duplicate x.
+    source may be a path or an open text stream.  Schema violations are
+    diagnosed here; the values themselves are checked by LearningCurve,
+    whose CurveError (naming the offending x) is raised as TaskFormatError.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
         text = Path(source).read_text()
-    try:
-        doc = json.loads(text)
+    try:  # parse_int=float: an integer too large for a float reads as inf
+        doc = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise TaskFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -64,41 +64,20 @@ def load_task(source) -> LearningCurve:
     for key, typ in _REQUIRED_FIELDS.items():
         if key not in doc:
             raise TaskFormatError(f"missing required field {key!r}")
-        value = doc[key]
-        ok = isinstance(value, typ)
-        if key == "loss_random_guess" and isinstance(value, bool):
-            ok = False
-        if not ok:
-            raise TaskFormatError(f"field {key!r} has wrong type")
-    eps0 = float(doc["loss_random_guess"])
-    if not eps0 > 0:
-        raise TaskFormatError("loss_random_guess must be positive")
-    if not doc["points"]:
-        raise TaskFormatError("points must be nonempty")
-
-    xs, eps = [], []
+        if not isinstance(doc[key], typ) or (isinstance(doc[key], bool) and typ is not bool):
+            raise TaskFormatError(f"field {key!r} has wrong type")  # a bool is no number
+    pairs = []
     for i, pt in enumerate(doc["points"]):
         if (not isinstance(pt, (list, tuple)) or len(pt) != 2
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pt)):
             raise TaskFormatError(f"point {i} must be a [x, value] number pair")
         x, value = float(pt[0]), float(pt[1])
-        if x <= 0:
-            raise TaskFormatError(f"point {i}: nonpositive x {x}")
-        e = 1.0 - value if doc["higher_is_better"] else value
-        if not 0 < e < eps0:
-            raise TaskFormatError(
-                f"point {i}: converted value {e} outside (0, eps0={eps0}); "
-                "log(eps0 - eps) would be undefined"
-            )
-        xs.append(x)
-        eps.append(e)
-    if len(set(xs)) != len(xs):
-        raise TaskFormatError("duplicate x values")
-    order = sorted(range(len(xs)), key=lambda i: xs[i])
+        pairs.append((x, 1.0 - value if doc["higher_is_better"] else value))
+    pairs.sort()
     try:
         return LearningCurve(
-            tuple(xs[i] for i in order), tuple(eps[i] for i in order), eps0,
-            name=doc["name"], metric=doc["metric"],
+            tuple(x for x, _ in pairs), tuple(e for _, e in pairs),
+            doc["loss_random_guess"], name=doc["name"], metric=doc["metric"],
         )
     except CurveError as exc:
         raise TaskFormatError(str(exc)) from exc
@@ -123,7 +102,7 @@ def save_task(curve: LearningCurve, path, domain: str = "synthetic",
 @dataclass(frozen=True)
 class BenchmarkRun:
     reports: tuple
-    summary: RankSummary
+    best_fraction: dict  # model -> fraction of tasks won (rank_methods)
     seed: int | None = None
     skipped: tuple = ()  # (path, diagnostic) pairs
 
@@ -152,7 +131,7 @@ def run_benchmark(task_paths, cfg: FitConfig = FitConfig(), models=MODEL_NAMES,
     reports.sort(key=lambda r: r.task)
     return BenchmarkRun(
         reports=tuple(reports),
-        summary=rank_methods(reports),
+        best_fraction=rank_methods(reports),
         seed=seed,
         skipped=tuple(skipped),
     )
@@ -180,7 +159,7 @@ def emit_report(run: BenchmarkRun, format: str = "table") -> str:
     if format == "json":
         doc = {
             "tasks": [report_doc(rep) for rep in run.reports],
-            "best_fraction": run.summary.best_fraction_by_model,
+            "best_fraction": run.best_fraction,
             "skipped": [list(s) for s in run.skipped],
             "seed": run.seed,
         }
@@ -197,7 +176,7 @@ def emit_report(run: BenchmarkRun, format: str = "table") -> str:
         lines.append("\t".join(cells))
     lines.append("")
     lines.append("\t".join(["best_fraction"] +
-                           [f"{run.summary.best_fraction_by_model[m]:.3f}"
+                           [f"{run.best_fraction[m]:.3f}"
                             for m in model_names]))
     if run.skipped:
         lines.append("")

@@ -121,7 +121,7 @@ def predict_m4(p: M4Params, x):
     if p.alpha == 0:
         return p.eps_inf + target
 
-    scalar = np.isscalar(x) or x.ndim == 0
+    scalar = x.ndim == 0
     t = np.atleast_1d(target)
     width = p.eps0 - p.eps_inf
     pad = 1e-15 * width

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from scalefit.cli import main
+from scalefit.cli import _cfg_from, build_parser, main
+from scalefit.evaluation import TieRule
+from scalefit.fitting import FitConfig
 from scalefit.harness import load_task, save_task
 from scalefit.models import M2Params
-from scalefit.synthetic import generate_from_model
+from scalefit.synthetic import SphereTaskSpec, generate_from_model
 from scalefit.curve import LearningCurve
 
 FAST_FLAGS = ["--rate-multiplier", "1e6", "--max-iters", "2000", "--backtracking"]
@@ -40,6 +42,17 @@ class TestFitCommand:
         code, out, _ = run_cli(capsys, "fit", task_file, *FAST_FLAGS)
         assert code == 0
         assert set(json.loads(out)["fits"]) == {"M1", "M2", "M3", "M4"}
+
+    def test_truncate_at_peak_fits_the_prefix(self, capsys, tmp_path):
+        xs, eps = (1, 2, 4, 8, 16, 32), (0.5, 0.4, 0.3, 0.2, 0.25, 0.3)
+        save_task(LearningCurve(xs, eps, 1.0, name="peak"), tmp_path / "peak.json")
+        save_task(LearningCurve(xs[:4], eps[:4], 1.0, name="peak"), tmp_path / "pre.json")
+        code, out, _ = run_cli(capsys, "fit", tmp_path / "peak.json", "--model", "m1",
+                               "--truncate-at-peak")
+        assert code == 0
+        code, prefix, _ = run_cli(capsys, "fit", tmp_path / "pre.json", "--model", "m1")
+        assert code == 0
+        assert json.loads(out) == json.loads(prefix)
 
     def test_cutoff_flag(self, capsys, task_file):
         code, out, _ = run_cli(capsys, "fit", task_file, "--model", "m1",
@@ -92,6 +105,23 @@ class TestBenchmarkCommand:
     def test_bad_cutoff_is_data_error(self, capsys, task_file):
         code, _, _ = run_cli(capsys, "benchmark", task_file, "--cutoff", "banana")
         assert code == 2
+
+    def test_unloadable_task_is_listed_in_the_table(self, capsys, task_file):
+        bad = task_file.parent / "a-bad.json"
+        bad.write_text("{not json")
+        code, out, _ = run_cli(capsys, "benchmark", task_file.parent, "--model", "m1")
+        assert code == 0
+        assert out.splitlines()[1].startswith("demo\t")
+        skipped = [line.split("\t") for line in out.splitlines()
+                   if line.startswith("skipped\t")]
+        assert [row[:2] for row in skipped] == [["skipped", str(bad)]]
+        assert skipped[0][2].startswith("not valid JSON")
+
+    def test_negative_cutoff_is_data_error(self, capsys, task_file):
+        # rejected up front, rather than as a cutoff that no task survives
+        code, _, err = run_cli(capsys, "benchmark", task_file, "--cutoff", "-1")
+        assert code == 2
+        assert "cutoff must be nonnegative" in err
 
     def test_strict_fit_failure_exit_code(self, capsys, tmp_path):
         # tau = 8, so the train side holds 3 points, below M4's minimum
@@ -153,6 +183,12 @@ class TestFitFailurePolicy:
         assert out.splitlines()[0] == "x,pred_M1,observed,split"
         assert 'not fit: {"M3": "beta must be positive"}' in err
 
+    def test_plotdata_exits_3_when_no_model_fits(self, capsys, path):
+        code, out, err = run_cli(capsys, "plotdata", path, *self.FLAGS[2:])
+        assert code == 3
+        assert out == ""
+        assert 'not fit: {"M3": "beta must be positive"}' in err
+
     def test_evaluate_records_the_failed_model(self, capsys, path):
         code, out, _ = run_cli(capsys, "evaluate", path, *self.FLAGS)
         assert code == 0
@@ -184,6 +220,31 @@ class TestSynthCommand:
         assert len(paths) == 1
         curve = load_task(paths[0])
         assert curve.eps0 == 0.5
+
+
+    def test_default_geometric_sizes(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "synth", "--d", "3", "--delta", "0.1",
+                               "--test-size", "200", "--trials", "1",
+                               "--out-dir", tmp_path)
+        assert code == 0
+        curve = load_task(out.strip())
+        # --sizes 4:4096:16, rounded to integers
+        assert curve.xs == (4, 6, 10, 16, 25, 40, 64, 102, 161, 256, 406, 645,
+                            1024, 1625, 2580, 4096)
+
+
+class TestDefaults:
+    """Flag defaults are read from the objects that own them."""
+
+    def test_no_flags_build_the_default_objects(self):
+        parser = build_parser()
+        assert _cfg_from(parser.parse_args(["fit", "t.json"])) == FitConfig()
+        args = parser.parse_args(["benchmark", "t.json"])
+        assert TieRule(abs_tol=args.tie_abs, rel_tol=args.tie_rel) == TieRule()
+        args = parser.parse_args(["synth"])
+        spec = SphereTaskSpec(d=args.d, delta=args.delta, sample_sizes=(4, 8),
+                              test_size=args.test_size, trials=args.trials)
+        assert spec == SphereTaskSpec(d=args.d, delta=args.delta, sample_sizes=(4, 8))
 
 
 class TestPlotdataCommand:

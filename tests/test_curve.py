@@ -43,6 +43,19 @@ class TestLearningCurve:
         with pytest.raises(CurveError):
             make_curve([1, 2], [0.5, 0.0])
 
+    @pytest.mark.parametrize("xs, eps, message", [
+        ([1, 0], [0.5, 0.4], "nonpositive x 0.0"),
+        ([1, float("inf")], [0.5, 0.4], "x inf is not finite"),
+        ([1, 2, 2], [0.5, 0.4, 0.3], "duplicate x 2.0"),
+        ([2, 1], [0.5, 0.4], "x 1.0 follows x 2.0; x must be strictly increasing"),
+        ([1, 2], [0.5, 1.0], "eps 1.0 at x 2.0 outside (0, eps0=1.0); "
+                             "log(eps0 - eps) would be undefined"),
+    ])
+    def test_diagnostic_names_the_x(self, xs, eps, message):
+        with pytest.raises(CurveError) as info:
+            make_curve(xs, eps)
+        assert str(info.value) == message
+
     def test_immutable(self):
         c = make_curve([1, 2], [0.5, 0.4])
         with pytest.raises(AttributeError):

@@ -122,14 +122,14 @@ class TestRankMethods:
         reports = [self._report("a", {"M2": 0.5, "M4": 0.01}),
                    self._report("b", {"M2": 0.3, "M4": 0.02})]
         s = rank_methods(reports)
-        assert s.best_fraction_by_model == {"M2": 0.0, "M4": 1.0}
+        assert s == {"M2": 0.0, "M4": 1.0}
 
     def test_fractions_can_sum_above_one(self):
         reports = [self._report("a", {"M3": 0.0100, "M4": 0.0101}),
                    self._report("b", {"M3": 0.5, "M4": 0.01})]
         s = rank_methods(reports)
-        assert s.best_fraction_by_model == {"M3": 0.5, "M4": 1.0}
-        assert sum(s.best_fraction_by_model.values()) > 1.0
+        assert s == {"M3": 0.5, "M4": 1.0}
+        assert sum(s.values()) > 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -143,8 +143,8 @@ class TestRankMethods:
         s = rank_methods(reports)
         for m in MODEL_NAMES:
             expect = np.mean([m in r.winners for r in reports])
-            assert s.best_fraction_by_model[m] == expect
-            assert 0.0 <= s.best_fraction_by_model[m] <= 1.0
+            assert s[m] == expect
+            assert 0.0 <= s[m] <= 1.0
 
 
 class TestFitModels:

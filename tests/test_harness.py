@@ -16,7 +16,7 @@ from scalefit.harness import (
     run_benchmark,
     save_task,
 )
-from scalefit.evaluation import ExtrapolationReport, RankSummary, TieRule, winners_under
+from scalefit.evaluation import ExtrapolationReport, TieRule, winners_under
 from scalefit.models import M2Params
 from scalefit.synthetic import generate_from_model
 
@@ -81,6 +81,15 @@ class TestLoadTask:
         with pytest.raises(TaskFormatError, match="finite"):
             load_doc(doc(**changes))
 
+    @pytest.mark.parametrize("changes", [
+        {"loss_random_guess": 10**400},
+        {"points": [[1, 0.5], [2, 0.4], [10**400, 0.3]]},
+    ], ids=["eps0", "x"])
+    def test_integer_beyond_float_range_rejected(self, changes):
+        # json.loads reads these as Python ints, which float() cannot convert
+        with pytest.raises(TaskFormatError, match="finite"):
+            load_doc(doc(**changes))
+
     def test_duplicate_x(self):
         with pytest.raises(TaskFormatError, match="duplicate"):
             load_doc(doc(points=[[2, 0.5], [2, 0.4]]))
@@ -127,7 +136,7 @@ class TestRunBenchmark:
             _make_task(tmp_path, "m1-a", M2Params(0.0, 0.9, -0.3), xs),
         ]
         run = run_benchmark(paths, FAST, models=("M1", "M2"))
-        frac = run.summary.best_fraction_by_model
+        frac = run.best_fraction
         # M2 nests M1, so it ties or wins everywhere
         assert frac["M2"] == 1.0
         assert frac["M1"] == pytest.approx(1 / 3)
@@ -136,7 +145,7 @@ class TestRunBenchmark:
         xs = np.geomspace(1, 4096, 13)
         path = _make_task(tmp_path, "solo", M2Params(0.2, 1.0, -0.5), xs)
         run = run_benchmark([path], FAST, models=("M1", "M2"))
-        assert set(run.summary.best_fraction_by_model.values()) <= {0.0, 1.0}
+        assert set(run.best_fraction.values()) <= {0.0, 1.0}
 
     def test_deterministic_and_order_independent(self, tmp_path):
         xs = np.geomspace(1, 4096, 13)
@@ -173,7 +182,7 @@ def _toy_run():
                             fitted_exponent_by_model={m: -0.3 for m in rmse_a}),
     )
     from scalefit.evaluation import rank_methods
-    return BenchmarkRun(reports=reports, summary=rank_methods(reports))
+    return BenchmarkRun(reports=reports, best_fraction=rank_methods(reports))
 
 
 class TestEmitReport:

@@ -126,6 +126,14 @@ class TestGenerateSphereCurve:
         v8 = curves(8, 200).var(axis=0).mean()
         assert v8 < v1
 
+    def test_one_dimension_with_noise_scores_zero_weights_at_chance(self):
+        # With d=1 each y*x is exactly +-1, so a balanced draw leaves the
+        # gradient, and hence w, at exactly zero for every step.
+        out = generate_sphere_curve(SphereTaskSpec(
+            d=1, delta=0.2, sample_sizes=(2, 4), test_size=50, trials=8))
+        assert len(out.curve.eps) == 2
+        assert all(0.0 < e < 0.5 for e in out.curve.eps)
+
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             SphereTaskSpec(d=10, delta=0.6, sample_sizes=(4, 8))
