@@ -1,5 +1,6 @@
-"""Learning-curve data model: validation, cutoff restriction, extrapolation
-splits, peak truncation, and the one path from a curve to its split.
+"""Learning-curve data model: validation; cutoff restriction, extrapolation
+splits and peak truncation, each one contiguous span of the x-sorted curve;
+and the one path from a curve to its split.
 
 Curves are immutable after construction and safe to share across threads.
 Values are stored as losses (lower is better); metric conversion happens at
@@ -8,6 +9,7 @@ ingestion in the harness.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +71,10 @@ class LearningCurve:
     def eps_array(self) -> np.ndarray:
         return np.asarray(self.eps, dtype=float)
 
-    def replace_points(self, xs, eps) -> "LearningCurve":
-        """New curve with the same metadata but different points."""
-        return LearningCurve(tuple(xs), tuple(eps), self.eps0, self.name, self.metric)
+    def span(self, start=None, stop=None) -> "LearningCurve":
+        """The points start:stop, as slice indices, with the same metadata."""
+        return LearningCurve(self.xs[start:stop], self.eps[start:stop], self.eps0,
+                             self.name, self.metric)
 
 
 @dataclass(frozen=True)
@@ -87,9 +90,9 @@ class CurveSplit:
     tau: float
 
     def __post_init__(self):
-        if any(x > self.tau for x in self.train.xs):
+        if self.train.xs[-1] > self.tau:  # each side is sorted: its boundary point decides
             raise CurveError("train side contains x > tau")
-        if any(x <= self.tau for x in self.holdout.xs):
+        if self.holdout.xs[0] <= self.tau:
             raise CurveError("holdout side contains x <= tau")
 
 
@@ -97,18 +100,17 @@ def apply_cutoff(curve: LearningCurve, tau: float | str) -> LearningCurve:
     """Restrict a curve to the points with x >= tau.
 
     tau is a nonnegative number or "auto", sqrt(x_min * x_max) of this curve.
-    tau = 0 returns an identical curve. Raises CurveError when fewer than
-    two points survive, since no model can be fit to the remainder.
+    tau = 0 returns an equal curve. Raises CurveError on a negative or NaN tau,
+    or when fewer than two points survive, as no model can fit the remainder.
     """
     if tau == "auto":
         tau = float(np.sqrt(curve.xs[0] * curve.xs[-1]))
-    if tau < 0:
+    if not tau >= 0:  # NaN too: bisect_left(xs, nan) is 0 and would keep every point
         raise CurveError("cutoff must be nonnegative")
-    kept = [(x, e) for x, e in zip(curve.xs, curve.eps) if x >= tau]
-    if len(kept) < 2:
+    start = bisect_left(curve.xs, tau)
+    if len(curve) - start < 2:
         raise CurveError("insufficient points after cutoff")
-    xs, eps = zip(*kept)
-    return curve.replace_points(xs, eps)
+    return curve.span(start)
 
 
 def split_for_extrapolation(curve: LearningCurve) -> CurveSplit:
@@ -117,32 +119,22 @@ def split_for_extrapolation(curve: LearningCurve) -> CurveSplit:
     The train side must keep at least two points (the minimum any model
     with two parameters can be fit to); the holdout always keeps x_max.
     """
-    tau = max(curve.xs) / 2.0
-    train_pts = [(x, e) for x, e in zip(curve.xs, curve.eps) if x <= tau]
-    hold_pts = [(x, e) for x, e in zip(curve.xs, curve.eps) if x > tau]
-    if len(train_pts) < 2:
+    tau = curve.xs[-1] / 2.0
+    k = bisect_right(curve.xs, tau)
+    if k < 2:
         raise CurveError("train split has fewer than 2 points")
-    txs, teps = zip(*train_pts)
-    hxs, heps = zip(*hold_pts)
-    return CurveSplit(
-        train=curve.replace_points(txs, teps),
-        holdout=curve.replace_points(hxs, heps),
-        tau=tau,
-    )
+    return CurveSplit(train=curve.span(0, k), holdout=curve.span(k), tau=tau)
 
 
 def truncate_at_peak(curve: LearningCurve) -> LearningCurve:
     """Prefix of the curve up to and including the first global loss minimum.
 
     Used to define the bootstrapped-examples x variable when a curve
-    overfits; monotone decreasing curves are returned unchanged. Ties are
-    broken by first occurrence. May return a single point; the caller
+    overfits; a monotone decreasing curve comes back as an equal curve. Ties
+    are broken by first occurrence. May return a single point; the caller
     validates length before fitting.
     """
-    best = min(range(len(curve)), key=lambda i: curve.eps[i])
-    if best == len(curve) - 1:
-        return curve
-    return curve.replace_points(curve.xs[: best + 1], curve.eps[: best + 1])
+    return curve.span(0, curve.eps.index(min(curve.eps)) + 1)
 
 
 def prepare_split(curve: LearningCurve, truncate_peak: bool = False,

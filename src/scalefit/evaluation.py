@@ -50,12 +50,14 @@ def extrapolation_rmse(predicted, actual) -> float:
     """sqrt(mean((log predicted - log actual)^2)).
 
     The log makes the metric penalize relative error, so errors at all
-    loss scales weigh equally.
+    loss scales weigh equally.  A non-finite prediction raises ValueError.
     """
     p = np.asarray(predicted, dtype=float)
     a = np.asarray(actual, dtype=float)
     if p.shape != a.shape or p.size == 0:
         raise ValueError("predicted and actual must be nonempty and equal length")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("predicted loss is not finite")
     if np.any(p <= 0) or np.any(a <= 0):
         raise ValueError("all values must be strictly positive")
     return float(np.sqrt(np.mean((np.log(p) - np.log(a)) ** 2)))
@@ -63,9 +65,10 @@ def extrapolation_rmse(predicted, actual) -> float:
 
 def fit_models(curve, cfg: FitConfig = FitConfig(), models=MODEL_NAMES) -> dict:
     """name -> FitResult of each model on curve, in the order of models, or the
-    message of the FitError or ValueError that stopped it: a model that cannot
-    be fit is recorded and the others are still fit.  The no-alpha ablation
-    is M2's fit, fit once, reported as M4Params(eps0, eps_inf, 0, beta, c)."""
+    message of the FitError, ValueError or FloatingPointError that stopped it:
+    a model that cannot be fit is recorded and the others are still fit.  The
+    no-alpha ablation is M2's fit, fit once, reported as
+    M4Params(eps0, eps_inf, 0, beta, c)."""
     fitters = {"M1": lambda: fit_m1(curve), "M2": lambda: fit_m2(curve, cfg),
                "M3": lambda: fit_m3(curve, cfg), "M4": lambda: fit_m4(curve, cfg)}
     fits, done = {}, {}
@@ -76,7 +79,7 @@ def fit_models(curve, cfg: FitConfig = FitConfig(), models=MODEL_NAMES) -> dict:
                 if key not in fitters:
                     raise ValueError(f"unknown model name: {name!r}")
                 done[key] = fitters[key]()
-            except (FitError, ValueError) as exc:
+            except (FitError, ValueError, FloatingPointError) as exc:
                 done[key] = str(exc)
         fits[name] = done[key]
         if name == ABLATION_NAME and isinstance(fits[name], FitResult):
@@ -95,9 +98,9 @@ def evaluate_task(split: CurveSplit, cfg: FitConfig = FitConfig(),
                   models=MODEL_NAMES, tie: TieRule = TieRule()) -> ExtrapolationReport:
     """Fit each model on the train split and score it on the holdout.
 
-    A model that fails to fit (or predicts a nonpositive loss) scores an
-    infinite RMSE with a diagnostic instead of aborting the task, so
-    rankings stay total over tasks.
+    A model that fails to fit (or predicts a nonpositive loss, or one that
+    overflows) scores an infinite RMSE with a diagnostic instead of aborting
+    the task, so rankings stay total over tasks.
     """
     rmse = {}
     exponent = {}
@@ -110,7 +113,8 @@ def evaluate_task(split: CurveSplit, cfg: FitConfig = FitConfig(),
             diagnostics[name] = fit
             continue
         try:  # a prediction can still fail to score
-            pred = np.asarray(predict(fit.params, hold_x), dtype=float)
+            with np.errstate(over="ignore"):  # extrapolation_rmse rejects the inf
+                pred = np.asarray(predict(fit.params, hold_x), dtype=float)
             rmse[name] = extrapolation_rmse(pred, hold_eps)
             exponent[name] = fit.params.c
         except ValueError as exc:

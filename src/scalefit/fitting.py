@@ -194,9 +194,11 @@ def _require_points(curve, n, model):
         raise FitError(f"{model} needs at least {n} points, got {len(curve)}")
 
 
+@np.errstate(over="raise", divide="raise", invalid="raise")  # 1/(eps - eps_inf) can overflow
 def _descend(problem: _Separable, init, cfg):
     """Outer loop: exact least-squares coefficients, then one gradient step
-    on theta, clamped to [0, problem.hi].  A non-finite step raises FitError.
+    on theta, clamped to [0, problem.hi].  A non-finite step raises FitError,
+    a numpy overflow, division by zero or invalid value FloatingPointError.
 
     Returns (theta, coeffs, loss, iterations, converged).
     """
@@ -207,8 +209,8 @@ def _descend(problem: _Separable, init, cfg):
     for k in range(1, cfg.max_outer_iters + 1):
         if not np.isfinite(loss):
             raise FitError("non-finite loss during coordinate descent")
-        if prev_loss - loss < cfg.convergence_tol:
-            return theta, coeffs, loss, k, True
+        if prev_loss - loss < cfg.convergence_tol:  # a rise stops too, unconverged
+            return theta, coeffs, loss, k, loss <= prev_loss
         prev_loss = loss
         step = rate * problem.grad(theta, coeffs, resid)
         for _ in range(40 if cfg.backtracking else 1):

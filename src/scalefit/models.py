@@ -155,8 +155,6 @@ def m4_asymptotic_excess(p: M4Params, x):
     gap = p.eps0 - p.eps_inf
     if p.alpha == 0:
         return t
-    if gap == 0 and 2 * p.alpha - 1 < 0:
-        raise ValueError("expansion singular: eps0 == eps_inf with 2*alpha - 1 < 0")
     return gap**p.alpha * t - p.alpha * gap ** (2 * p.alpha - 1) * t**2
 
 

@@ -79,8 +79,6 @@ def train_logistic(X: np.ndarray, y: np.ndarray, iters: int = 500) -> np.ndarray
     """
     n, d = X.shape
     w = np.zeros(d)
-    if iters == 0:
-        return w
     lips = 0.25 * float(np.mean(np.sum(X**2, axis=1)))
     step = 1.0 / (1.0 + lips)
     for _ in range(iters):
@@ -157,7 +155,7 @@ def generate_from_model(params, xs, noise_sigma: float = 0.0,
 
     Noise is multiplicative log-normal, eps = prediction * exp(N(0, sigma^2)),
     the natural perturbation for square-log objectives.  eps0 defaults to
-    the params' eps0 when present, else just above the largest value.
+    the params' eps0; params without one (M1-M3) need it passed.
     A value outside (0, eps0) raises CurveError, a ValueError.
     """
     xs = tuple(float(x) for x in xs)
@@ -170,9 +168,8 @@ def generate_from_model(params, xs, noise_sigma: float = 0.0,
         eps = pred * np.exp(rng.standard_normal(len(xs)) * noise_sigma)
     else:
         eps = pred
+    eps0 = getattr(params, "eps0", None) if eps0 is None else eps0
     if eps0 is None:
-        eps0 = getattr(params, "eps0", None)
-    if eps0 is None:
-        eps0 = float(np.max(eps)) * 2.0
+        raise ValueError(f"eps0 required: {type(params).__name__} has none")
     return LearningCurve(xs, tuple(float(e) for e in eps), float(eps0),
                          name=f"synthetic-{type(params).__name__}")

@@ -77,6 +77,11 @@ class TestEvaluateCommand:
         assert doc["rmse"]["M2"] < doc["rmse"]["M1"]
         assert "M2" in doc["winners"]
 
+    def test_nan_cutoff_is_data_error(self, capsys, task_file):
+        code, _, err = run_cli(capsys, "evaluate", task_file, "--cutoff", "nan")
+        assert code == 2
+        assert "cutoff must be nonnegative" in err
+
 
 class TestBenchmarkCommand:
     def test_directory_table(self, capsys, task_file):

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strategies import curves
 from scalefit.curve import (
     CurveError,
     LearningCurve,
@@ -176,3 +179,75 @@ class TestPrepareSplit:
         c = make_curve([1, 2, 4, 8], [0.5, 0.4, 0.3, 0.2])
         with pytest.raises(CurveError):
             prepare_split(c, cutoff=-1.0)
+
+
+# Each sub-curve by its definition, as a filter over the (x, eps) points;
+# None where the definition leaves too few points or the cutoff is invalid.
+def filter_cutoff(points, tau):
+    if tau == "auto":
+        tau = math.sqrt(points[0][0] * points[-1][0])
+    kept = [p for p in points if p[0] >= tau]
+    return kept if tau >= 0 and len(kept) >= 2 else None
+
+
+def filter_split(points):
+    tau = max(x for x, _ in points) / 2
+    train = [p for p in points if p[0] <= tau]
+    holdout = [p for p in points if p[0] > tau]
+    return (train, holdout, tau) if len(train) >= 2 else None
+
+
+def filter_peak(points):
+    lowest = min(e for _, e in points)
+    first = next(i for i, (_, e) in enumerate(points) if e == lowest)
+    return points[: first + 1]
+
+
+@st.composite
+def curve_and_cutoff(draw):
+    c = draw(curves())
+    cutoff = draw(st.one_of(
+        st.floats(), st.sampled_from((0, 0.0, -0.0, math.nan, math.inf, -math.inf)),
+        st.just("auto"), st.sampled_from(c.xs)))
+    return c, cutoff
+
+
+class TestSubCurvesMatchFilters:
+    """apply_cutoff, split_for_extrapolation, truncate_at_peak and
+    prepare_split return what the filter definitions above give, or raise
+    CurveError where those give None."""
+
+    @staticmethod
+    def check(got, want, like):
+        assert list(zip(got.xs, got.eps)) == want
+        assert (got.eps0, got.name, got.metric) == (like.eps0, like.name, like.metric)
+
+    def check_split(self, make, want, like):
+        if want is None:
+            with pytest.raises(CurveError):
+                make()
+            return
+        split = make()
+        self.check(split.train, want[0], like)
+        self.check(split.holdout, want[1], like)
+        assert split.tau == want[2]
+
+    @given(curve_and_cutoff(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_against_filter_definitions(self, drawn, truncate):
+        c, cutoff = drawn
+        points = list(zip(c.xs, c.eps))
+        want = filter_cutoff(points, cutoff)
+        if want is None:
+            with pytest.raises(CurveError):
+                apply_cutoff(c, cutoff)
+        else:
+            self.check(apply_cutoff(c, cutoff), want, c)
+        self.check_split(lambda: split_for_extrapolation(c), filter_split(points), c)
+        self.check(truncate_at_peak(c), filter_peak(points), c)
+
+        want = filter_split(filter_peak(points) if truncate else points)
+        if want is not None and cutoff != 0:
+            train = filter_cutoff(want[0], cutoff)
+            want = None if train is None else (train, *want[1:])
+        self.check_split(lambda: prepare_split(c, truncate, cutoff), want, c)

@@ -1,14 +1,23 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from strategies import curves
 from scalefit import evaluation, fitting
-from scalefit.curve import CurveSplit, LearningCurve, split_for_extrapolation
+from scalefit.curve import (
+    CurveError,
+    CurveSplit,
+    LearningCurve,
+    prepare_split,
+    split_for_extrapolation,
+)
 from scalefit.evaluation import (
     ABLATION_NAME,
+    ALL_MODEL_NAMES,
     MODEL_NAMES,
     ExtrapolationReport,
     TieRule,
@@ -25,6 +34,13 @@ from scalefit.synthetic import generate_from_model
 FAST = FitConfig(rate_multiplier=1e6, convergence_tol=1e-13,
                  backtracking=True, max_outer_iters=5000)
 
+# steep train sides whose fits extrapolate past the largest float at the holdout
+OVERFLOWING = (
+    LearningCurve((1, 1.0039138893383475, 54.598150033144236), (0.25, 0.5, 0.5), 1.0),
+    LearningCurve((1, 1.001, 1.002, 1.003, 1.004, 300),
+                  (0.2, 0.3, 0.4, 0.45, 0.47, 0.48), 1.0),
+)
+
 
 class TestExtrapolationRmse:
     def test_zero_on_equal(self):
@@ -39,6 +55,11 @@ class TestExtrapolationRmse:
             extrapolation_rmse([1.0, -0.1], [1.0, 1.0])
         with pytest.raises(ValueError):
             extrapolation_rmse([], [])
+
+    def test_rejects_non_finite_prediction(self):
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="not finite"):
+                extrapolation_rmse([1.0, bad], [1.0, 1.0])
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -106,6 +127,14 @@ class TestEvaluateTask:
         assert "M4" in report.diagnostics
         assert math.isnan(report.fitted_exponent_by_model["M4"])
         assert report.winners == frozenset({"M1"})
+
+    @pytest.mark.parametrize("curve", OVERFLOWING)
+    def test_overflowing_prediction_is_a_diagnostic(self, curve):
+        # numpy's overflow warning is an error under this suite's settings
+        report = evaluate_task(split_for_extrapolation(curve), FAST, ALL_MODEL_NAMES)
+        assert set(report.diagnostics) == set(ALL_MODEL_NAMES)
+        assert report.diagnostics["M1"] == "predicted loss is not finite"
+        assert all(math.isinf(v) for v in report.rmse_by_model.values())
 
     def test_all_models_tie(self):
         rmse = {m: 0.01 for m in MODEL_NAMES}
@@ -186,3 +215,30 @@ class TestFitModels:
         msg = "M2 needs at least 3 points, got 2"
         assert report.diagnostics == {ABLATION_NAME: msg, "M2": msg}
         assert calls == ["M2"]
+
+
+class TestTotality:
+    """Any valid curve gives each model finite parameters or a diagnostic,
+    and a finite RMSE or a diagnostic, with no numpy warning on the way."""
+
+    CONFIGS = (FAST, FitConfig(max_outer_iters=100),
+               FitConfig(rate_multiplier=1e6, max_outer_iters=100))
+
+    @given(curves())
+    @example(OVERFLOWING[0])
+    @example(OVERFLOWING[1])
+    @example(LearningCurve((1, 2, 4), (0.5, 0.5, 5e-324), 1.0))  # 1/eps overflows
+    @settings(max_examples=40, deadline=None)
+    def test_fit_and_score_are_finite_or_diagnosed(self, curve):
+        for cfg in self.CONFIGS:
+            for name, fit in fit_models(curve, cfg, ALL_MODEL_NAMES).items():
+                if not isinstance(fit, str):
+                    assert np.all(np.isfinite(dataclasses.astuple(fit.params))), name
+                    assert math.isfinite(fit.train_loss), name
+        try:
+            split = prepare_split(curve)
+        except CurveError:
+            return
+        report = evaluate_task(split, FAST, ALL_MODEL_NAMES)
+        for name, rmse in report.rmse_by_model.items():
+            assert math.isfinite(rmse) != (name in report.diagnostics), name

@@ -222,6 +222,18 @@ class TestFitM2:
         with pytest.raises(FitError):
             fit_m2(curve_of([1, 2], [0.5, 0.4]))
 
+    @pytest.mark.parametrize("multiplier, iterations", [(1e6, 8), (1e8, 2)])
+    def test_plain_descent_that_raised_its_loss_is_not_converged(self, multiplier,
+                                                                  iterations):
+        # the plain step overshoots to the eps_inf bound and the loss rises to 6.39
+        curve = generate_from_model(M2Params(0.2, 1.0, -0.5), np.geomspace(1, 4096, 12),
+                                    eps0=10.0)
+        r = fit_m2(curve, FitConfig(rate_multiplier=multiplier))
+        assert (r.iterations, r.converged) == (iterations, False)
+        assert r.train_loss > 6
+        r = fit_m2(curve, FitConfig(rate_multiplier=1e8, backtracking=True))
+        assert r.converged and r.train_loss < 1e-8
+
 
 class TestFitM3:
     def test_gamma_pinned_matches_m1_sign_convention(self):
@@ -360,6 +372,12 @@ class TestNonFiniteFits:
         # gamma runs to about 3e5 and log beta past the largest float's log
         with pytest.raises(FitError, match="non-finite parameter"):
             fit_m3(self.CURVE, FitConfig(rate_multiplier=1e12, max_outer_iters=50))
+
+    def test_overflowing_gradient_is_floating_point_error(self):
+        # dL/deps_inf holds 1/(eps - eps_inf), past the largest float here
+        curve = curve_of([1, 2, 4], [0.5, 0.5, 5e-324])
+        with pytest.raises(FloatingPointError, match="overflow"):
+            fit_m2(curve, FitConfig())
 
     def test_non_finite_step_is_fit_error(self):
         cfg = FitConfig(learning_rate=1e200, rate_multiplier=1e200)

@@ -151,6 +151,10 @@ class TestGenerateFromModel:
         with pytest.raises(ValueError):
             generate_from_model(M1Params(1, -0.5), (1, 4), noise_sigma=0.1, eps0=2.0)
 
+    def test_eps0_required_when_params_have_none(self):
+        with pytest.raises(ValueError, match="M1Params"):
+            generate_from_model(M1Params(1, -0.5), (1, 4))
+
     def test_rejects_values_at_eps0(self):
         with pytest.raises(ValueError):
             generate_from_model(M1Params(1, -0.5), (1, 4), eps0=1.0)
