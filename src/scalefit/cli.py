@@ -27,7 +27,7 @@ import numpy as np
 
 from .curve import CurveError, apply_cutoff, prepare_split, truncate_at_peak
 from .evaluation import ALL_MODEL_NAMES, MODEL_NAMES, TieRule, evaluate_task, fit_models
-from .fitting import FitConfig, FitError, FitResult
+from .fitting import FitConfig, FitResult
 from .harness import (
     TaskFormatError,
     emit_plot_data,
@@ -90,7 +90,7 @@ def _parse_cutoff(spec: str):
         value = float(spec)
     except ValueError:
         raise TaskFormatError(f"invalid cutoff {spec!r}") from None
-    if value < 0:
+    if not value >= 0:  # NaN too
         raise TaskFormatError("cutoff must be nonnegative")
     return value
 
@@ -253,9 +253,6 @@ def main(argv=None) -> int:
     except (OSError, TaskFormatError, CurveError, ValueError) as exc:
         print(f"scalefit: data error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except FitError as exc:
-        print(f"scalefit: fit error: {exc}", file=sys.stderr)
-        return FIT_ERROR
 
 
 if __name__ == "__main__":

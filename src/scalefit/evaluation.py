@@ -31,10 +31,13 @@ class TieRule:
     abs_tol: float = 1e-4
     rel_tol: float = 0.05
 
+    def __post_init__(self):
+        if not (0 <= self.abs_tol < math.inf and 0 <= self.rel_tol < math.inf):
+            raise ValueError("tie tolerances must be finite and nonnegative")
+
     def tie(self, a: float, b: float) -> bool:
-        if math.isinf(a) or math.isinf(b):
-            return math.isinf(a) and math.isinf(b)
-        return abs(a - b) <= max(self.abs_tol, self.rel_tol * min(a, b))
+        # a == b makes two infinite RMSEs tie, where inf - inf is NaN
+        return a == b or abs(a - b) <= max(self.abs_tol, self.rel_tol * min(a, b))
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,9 @@ def fit_models(curve, cfg: FitConfig = FitConfig(), models=MODEL_NAMES) -> dict:
 
 
 def winners_under(rmse_by_model: dict, tie: TieRule) -> frozenset:
-    best = min(rmse_by_model.values())
-    return frozenset(m for m, v in rmse_by_model.items() if tie.tie(v, best))
+    best = min(rmse_by_model.values())  # inf: no model scored, and none wins
+    return frozenset(m for m, v in rmse_by_model.items()
+                     if v < math.inf and tie.tie(v, best))
 
 
 def evaluate_task(split: CurveSplit, cfg: FitConfig = FitConfig(),
@@ -100,7 +104,7 @@ def evaluate_task(split: CurveSplit, cfg: FitConfig = FitConfig(),
 
     A model that fails to fit (or predicts a nonpositive loss, or one that
     overflows) scores an infinite RMSE with a diagnostic instead of aborting
-    the task, so rankings stay total over tasks.
+    the task, so rankings stay total over tasks; if all do, none wins.
     """
     rmse = {}
     exponent = {}
@@ -113,9 +117,7 @@ def evaluate_task(split: CurveSplit, cfg: FitConfig = FitConfig(),
             diagnostics[name] = fit
             continue
         try:  # a prediction can still fail to score
-            with np.errstate(over="ignore"):  # extrapolation_rmse rejects the inf
-                pred = np.asarray(predict(fit.params, hold_x), dtype=float)
-            rmse[name] = extrapolation_rmse(pred, hold_eps)
+            rmse[name] = extrapolation_rmse(predict(fit.params, hold_x), hold_eps)
             exponent[name] = fit.params.c
         except ValueError as exc:
             diagnostics[name] = str(exc)

@@ -12,6 +12,10 @@ from scalefit.synthetic import SphereTaskSpec, generate_from_model
 from scalefit.curve import LearningCurve
 
 FAST_FLAGS = ["--rate-multiplier", "1e6", "--max-iters", "2000", "--backtracking"]
+# every model's holdout prediction overflows (fit on 1 < x < 1.005, scored at 300)
+OVERFLOW_FLAGS = ["--rate-multiplier", "1e6", "--backtracking", "--max-iters", "5000"]
+BAD_TIE_FLAGS = [("--tie-abs", "nan"), ("--tie-rel", "nan"), ("--tie-abs", "-1"),
+                 ("--tie-rel", "-1"), ("--tie-abs", "inf")]
 
 
 @pytest.fixture
@@ -20,6 +24,15 @@ def task_file(tmp_path):
     curve = generate_from_model(M2Params(0.2, 1.0, -0.5), xs, eps0=2.0)
     curve = LearningCurve(curve.xs, curve.eps, curve.eps0, name="demo")
     path = tmp_path / "demo.json"
+    save_task(curve, path)
+    return path
+
+
+@pytest.fixture
+def overflow_file(tmp_path):
+    path = tmp_path / "overflow.json"
+    curve = LearningCurve((1, 1.001, 1.002, 1.003, 1.004, 300),
+                          (0.2, 0.3, 0.4, 0.45, 0.47, 0.48), 1.0, name="overflow")
     save_task(curve, path)
     return path
 
@@ -82,6 +95,20 @@ class TestEvaluateCommand:
         assert code == 2
         assert "cutoff must be nonnegative" in err
 
+    def test_task_no_model_scored_has_no_winner(self, capsys, overflow_file):
+        code, out, _ = run_cli(capsys, "evaluate", overflow_file, *OVERFLOW_FLAGS)
+        assert code == 0
+        doc = json.loads(out)
+        assert set(doc["diagnostics"]) == {"M1", "M2", "M3", "M4"}
+        assert doc["winners"] == []
+
+    @pytest.mark.parametrize("flag,value", BAD_TIE_FLAGS)
+    def test_bad_tie_tolerance_is_data_error(self, capsys, task_file, flag, value):
+        code, out, err = run_cli(capsys, "evaluate", task_file, flag, value)
+        assert code == 2
+        assert out == ""
+        assert "tie tolerances must be finite and nonnegative" in err
+
 
 class TestBenchmarkCommand:
     def test_directory_table(self, capsys, task_file):
@@ -127,6 +154,24 @@ class TestBenchmarkCommand:
         code, _, err = run_cli(capsys, "benchmark", task_file, "--cutoff", "-1")
         assert code == 2
         assert "cutoff must be nonnegative" in err
+
+    def test_nan_cutoff_is_data_error(self, capsys, task_file):
+        code, _, err = run_cli(capsys, "benchmark", task_file, "--cutoff", "nan")
+        assert code == 2
+        assert "cutoff must be nonnegative" in err
+
+    @pytest.mark.parametrize("flag,value", BAD_TIE_FLAGS)
+    def test_bad_tie_tolerance_is_data_error(self, capsys, task_file, flag, value):
+        code, _, err = run_cli(capsys, "benchmark", task_file, flag, value)
+        assert code == 2
+        assert "tie tolerances must be finite and nonnegative" in err
+
+    def test_task_no_model_scored_counts_for_no_model(self, capsys, overflow_file):
+        code, out, _ = run_cli(capsys, "benchmark", overflow_file, "--format", "json",
+                               *OVERFLOW_FLAGS)
+        assert code == 0
+        fractions = json.loads(out)["best_fraction"]
+        assert fractions == dict.fromkeys(["M1", "M2", "M3", "M4"], 0.0)
 
     def test_strict_fit_failure_exit_code(self, capsys, tmp_path):
         # tau = 8, so the train side holds 3 points, below M4's minimum
@@ -261,6 +306,16 @@ class TestPlotdataCommand:
         lines = out_path.read_text().strip().splitlines()
         assert lines[0] == "x,pred_M2,observed,split"
         assert len(lines) > 5
+
+    def test_overflowing_prediction_is_an_inf_cell(self, capsys, overflow_file):
+        # a warning would be an error here, so empty stderr means none was shown
+        code, out, err = run_cli(capsys, "plotdata", overflow_file, *OVERFLOW_FLAGS)
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()]
+        assert rows[0] == ["x", "pred_M1", "pred_M2", "pred_M3", "pred_M4",
+                           "observed", "split"]
+        for column in range(1, 5):
+            assert "inf" in {row[column] for row in rows[1:51]}
 
 
 class TestUsageErrors:

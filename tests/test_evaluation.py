@@ -92,6 +92,12 @@ class TestTieRule:
         assert tie.tie(math.inf, math.inf)
         assert not tie.tie(0.1, math.inf)
 
+    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+    @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
+    def test_rejects_tolerance_outside_zero_to_inf(self, field, value):
+        with pytest.raises(ValueError, match="tie tolerances"):
+            TieRule(**{field: value})
+
     def test_winner_set_contains_argmin(self):
         rng = np.random.default_rng(12)
         tie = TieRule()
@@ -136,9 +142,21 @@ class TestEvaluateTask:
         assert report.diagnostics["M1"] == "predicted loss is not finite"
         assert all(math.isinf(v) for v in report.rmse_by_model.values())
 
+    def test_overflow_reads_the_same_for_every_model(self):
+        report = evaluate_task(split_for_extrapolation(OVERFLOWING[1]), FAST,
+                               ALL_MODEL_NAMES)
+        assert report.diagnostics == dict.fromkeys(ALL_MODEL_NAMES,
+                                                   "predicted loss is not finite")
+        assert report.winners == frozenset()
+
     def test_all_models_tie(self):
         rmse = {m: 0.01 for m in MODEL_NAMES}
         assert winners_under(rmse, TieRule()) == frozenset(MODEL_NAMES)
+
+    def test_no_winner_when_no_model_scored(self):
+        rmse = dict.fromkeys(MODEL_NAMES, math.inf)
+        assert winners_under(rmse, TieRule()) == frozenset()
+        assert winners_under({**rmse, "M2": 0.1}, TieRule()) == {"M2"}
 
 
 class TestRankMethods:

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from strategies import model_params, model_xs
 from scalefit.models import (
+    BISECTION_EPS_TOL,
     M1Params,
     M2Params,
     M3Params,
@@ -130,6 +132,37 @@ class TestPredictM4:
         with pytest.raises(ValueError):
             predict_m4(p, 0.0)
 
+    def test_overflow_is_inf(self):
+        p = M4Params(eps0=1, eps_inf=0.1, alpha=0.5, beta=1, c=-400)
+        y = predict(p, np.array([1e-3, 1.0]))
+        assert y[0] == math.inf and 0.1 < y[1] < 1
+
+    @given(model_params(forms=(M4Params,)), model_xs())
+    @settings(max_examples=300, deadline=None)
+    def test_inverts_the_residual(self, p, x):
+        # the bracket is the tolerance the bisection stops at, widened to one
+        # ulp of the root where the interval is too narrow for that tolerance;
+        # a root within half an ulp of eps_inf or eps0 rounds onto it
+        assume(p.alpha > 0)
+        with np.errstate(over="ignore"):
+            t = p.beta * np.asarray(x, dtype=float) ** p.c
+        assume(np.all(np.isfinite(t)))
+        width = p.eps0 - p.eps_inf
+        for eps, t_k in zip(np.atleast_1d(predict(p, x)), np.atleast_1d(t)):
+            assert p.eps_inf <= eps <= p.eps0
+            delta = max(BISECTION_EPS_TOL * width, np.spacing(eps))
+            assert self._g(p, eps - delta) <= t_k <= self._g(p, eps + delta)
+
+    @staticmethod
+    def _g(p, eps):
+        """(eps - eps_inf) / (eps0 - eps)^alpha, 0 and inf at the ends."""
+        if eps <= p.eps_inf:
+            return 0.0
+        if eps >= p.eps0:
+            return math.inf
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            return np.float64(eps - p.eps_inf) / np.float64(p.eps0 - eps) ** p.alpha
+
 
 class TestAsymptoticExcess:
     def test_alpha_zero_exact(self):
@@ -170,3 +203,11 @@ class TestDispatch:
     def test_unknown_type(self):
         with pytest.raises(TypeError):
             predict(object(), 1.0)
+
+    @given(model_params(), model_xs())
+    @settings(max_examples=500, deadline=None)
+    def test_total_and_silent(self, p, x):
+        # any warning is an error in this suite, so predict must not warn
+        y = np.asarray(predict(p, x))
+        assert y.shape == np.shape(x)
+        assert np.all(y >= 0)  # no NaN and no -inf; +inf where it overflows

@@ -134,6 +134,13 @@ class TestGenerateSphereCurve:
         assert len(out.curve.eps) == 2
         assert all(0.0 < e < 0.5 for e in out.curve.eps)
 
+    def test_point_at_chance_is_dropped_with_a_warning(self):
+        spec = SphereTaskSpec(d=20, delta=0.3, sample_sizes=(2, 4, 64),
+                              test_size=500, trials=2, seed=0)
+        with pytest.warns(UserWarning, match=r"dropping x=2: averaged rate 0\.5060"):
+            synth = generate_sphere_curve(spec)
+        assert synth.curve.xs == (4.0, 64.0)
+
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             SphereTaskSpec(d=10, delta=0.6, sample_sizes=(4, 8))
