@@ -221,8 +221,8 @@ def _descend(problem: _Separable, init, cfg):
             if l2 <= loss or not cfg.backtracking:
                 break
             step *= 0.5
-        else:
-            return theta, coeffs, loss, k, True
+        else:  # every halving raised the loss: a failed line search
+            return theta, coeffs, loss, k, False
         theta, coeffs, resid, loss = candidate, c2, r2, l2
     return theta, coeffs, loss, cfg.max_outer_iters, False
 

@@ -81,11 +81,12 @@ def train_logistic(X: np.ndarray, y: np.ndarray, iters: int = 500) -> np.ndarray
     w = np.zeros(d)
     lips = 0.25 * float(np.mean(np.sum(X**2, axis=1)))
     step = 1.0 / (1.0 + lips)
+    Xy = X * y[:, None]  # exact: y is +-1
     for _ in range(iters):
-        margins = y * (X @ w)
+        margins = Xy @ w
         # sigmoid(-margin), clipped against overflow
         s = 1.0 / (1.0 + np.exp(np.clip(margins, -500.0, 500.0)))
-        grad = -(X * (s * y)[:, None]).mean(axis=0)
+        grad = -(s @ Xy) / n
         w = w - step * grad
     return w
 

@@ -10,6 +10,8 @@ from scalefit.fitting import (
     FitConfig,
     FitError,
     FitResult,
+    _descend,
+    _Separable,
     dloss_m3_dgamma,
     dloss_m4_deps_inf,
     fit_m1,
@@ -233,6 +235,18 @@ class TestFitM2:
         assert r.train_loss > 6
         r = fit_m2(curve, FitConfig(rate_multiplier=1e8, backtracking=True))
         assert r.converged and r.train_loss < 1e-8
+
+
+class TestLineSearch:
+    def test_forty_rejected_halvings_is_not_converged(self):
+        # loss(theta) = theta^2, but dr has the wrong sign, so every step,
+        # however often it is halved, moves theta up from 1 and the loss rises
+        uphill = _Separable(target=lambda t: np.array([t, -t]),
+                            design=lambda t: np.ones((2, 1)),
+                            dr=lambda t, b: np.array([-1.0, 1.0]))
+        cfg = FitConfig(learning_rate=1.0, backtracking=True)
+        theta, coeffs, loss, iterations, converged = _descend(uphill, 1.0, cfg)
+        assert (theta, loss, iterations, converged) == (1.0, 1.0, 1, False)
 
 
 class TestFitM3:

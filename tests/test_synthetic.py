@@ -37,6 +37,17 @@ class TestSampleSphereDataset:
         assert np.array_equal(y, np.sign(X @ w))
 
 
+def reference_train_logistic(X, y, iters=500):
+    """train_logistic with the gradient formed row by row: each step builds
+    the n x d array X * (s * y)[:, None] and takes its column mean."""
+    w = np.zeros(X.shape[1])
+    step = 1.0 / (1.0 + 0.25 * float(np.mean(np.sum(X**2, axis=1))))
+    for _ in range(iters):
+        s = 1.0 / (1.0 + np.exp(np.clip(y * (X @ w), -500.0, 500.0)))
+        w = w + step * (X * (s * y)[:, None]).mean(axis=0)
+    return w
+
+
 class TestTrainLogistic:
     def test_zero_iterations_returns_zero_init(self):
         X, y = sample_sphere_dataset(4, 50, unit(4), 0.0, np.random.default_rng(3))
@@ -58,6 +69,15 @@ class TestTrainLogistic:
         w = train_logistic(X, y, iters=500)
         cos = w @ w_star / np.linalg.norm(w)
         assert np.degrees(np.arccos(np.clip(cos, -1, 1))) < 5.0
+
+    @pytest.mark.parametrize("n", [1, 3, 20, 100])
+    def test_matches_per_row_reference(self, n):
+        d = 20
+        X, y = sample_sphere_dataset(d, n, unit(d, seed=n), 0.2, np.random.default_rng(n))
+        X0, y0 = X.copy(), y.copy()
+        w = train_logistic(X, y)
+        assert np.max(np.abs(w - reference_train_logistic(X, y))) <= 1e-12
+        assert np.array_equal(X, X0) and np.array_equal(y, y0)
 
 
 class TestMisclassificationRate:
@@ -98,6 +118,12 @@ class TestGenerateSphereCurve:
         b = generate_sphere_curve(SMALL_SPEC)
         assert a.curve == b.curve
         assert a.bayes_risk == 0.2
+
+    def test_rates_pinned(self):
+        # any change to the generator that moves a rate fails here, in seconds
+        assert generate_sphere_curve(SMALL_SPEC).curve.eps == (
+            0.46449999999999997, 0.46149999999999997, 0.397625, 0.39537500000000003,
+            0.356125, 0.33487500000000003, 0.2805)
 
     def test_eps0_and_bayes_floor(self):
         out = generate_sphere_curve(SMALL_SPEC)
