@@ -39,7 +39,6 @@ from .fitting import (
     fit_m4,
     loss_m3,
     loss_m4,
-    solve_loglinear,
 )
 from .harness import (
     BenchmarkRun,

@@ -1,18 +1,19 @@
 """Square-log losses and their fitters, on one separable least-squares core.
 
-Every model is y(theta) ~ A(theta) . b in log space, with the coefficients
-b solved exactly by least squares and theta one scalar in [0, hi]:
+Every model is y(theta) ~ log beta + Z(theta) . b in log space, with the
+coefficients solved exactly by least squares and theta one scalar in [0, hi]:
 
-    M1  log eps            ~ (1, log x) . (log beta, c)             no theta
-    M2  log(eps - eps_inf) ~ (1, log x) . (log beta, c)             eps_inf
-    M4  log(eps - eps_inf) ~ (log(eps0 - eps), 1, log x) . (alpha, log beta, c)
-    M3  log eps            ~ (1, log(1/x + gamma)) . (log beta, c)  gamma
+    M1  log eps            ~ log beta + (log x) . c                         no theta
+    M2  log(eps - eps_inf) ~ log beta + (log x) . c                         eps_inf
+    M4  log(eps - eps_inf) ~ log beta + (log x, log(eps0 - eps)) . (c, alpha) eps_inf
+    M3  log eps            ~ log beta + log(1/x + gamma) . c                gamma
 
 M2 is M4 without the alpha column and M1 is M2 at eps_inf = 0; a negative
-alpha is projected to 0.  Each outer iteration solves b, then takes one
-clamped gradient step on theta, 1e-7 by default (variable projection, Golub
-& Pereyra 1973), until the loss decrease falls below convergence_tol or
-max_outer_iters is reached.  loss_* and dloss_* evaluate the same residual.
+alpha is projected to 0.  Z is factored once per fit, or per step for M3.
+Each outer iteration solves the coefficients, then takes one clamped gradient
+step on theta, 1e-7 by default (variable projection, Golub & Pereyra 1973),
+until the loss decrease falls below convergence_tol or max_outer_iters is
+reached.  loss_* and dloss_* evaluate the same residual as the fitters.
 """
 
 from __future__ import annotations
@@ -81,58 +82,90 @@ class FitResult:
     converged: bool
 
 
-def solve_loglinear(targets, features):
-    """Least-squares coefficients for targets ~ features.
-
-    features is an (n, k) matrix with n >= k.  Raises
-    DegenerateDesignError on rank deficiency (e.g. all x equal).
-    """
-    A = np.asarray(features, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    if A.ndim != 2 or A.shape[0] < A.shape[1]:
+def factor_design(features):
+    """Factor the design [1, Z] of an (n, p) feature matrix Z once, for each
+    solve_loglinear on it: centre Z's columns (the implied intercept), then
+    orthonormalise them by modified Gram-Schmidt (Bjorck 1967), giving
+    (Z, mean, Q, R) with Z - mean = Q.T R and R[j] the column j of R.  Raises
+    DegenerateDesignError on a NaN or infinite feature, or on a constant
+    column or one in the others' span."""
+    Z = np.asarray(features, dtype=float)
+    n, p = Z.shape
+    if n <= p:
         raise DegenerateDesignError("fewer rows than coefficients")
-    coeffs, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
-    if rank < A.shape[1]:
-        raise DegenerateDesignError("degenerate design matrix")
-    return coeffs
+    Q = Z.T.copy()  # one contiguous row per column, orthonormalised in place
+    mean, R = [], []
+    for j, q in enumerate(Q):
+        norm_z = math.sqrt(q @ q)  # inf or NaN, without a numpy error, if a feature is
+        if not norm_z < math.inf:
+            raise DegenerateDesignError("non-finite design feature")
+        mean.append(float(q.sum()) / n)
+        q -= mean[j]
+        R.append([])
+        for i in range(j):
+            R[j].append(float(Q[i] @ q))
+            q -= R[j][i] * Q[i]
+        R[j].append(math.sqrt(q @ q))
+        if R[j][j] <= n * math.ulp(norm_z):  # within rounding of the span before it
+            raise DegenerateDesignError("degenerate design matrix")
+        q /= R[j][j]
+    return Z, mean, Q, R
+
+
+def solve_loglinear(targets, factor):
+    """Least-squares fit of targets ~ b0 + Z . b on factor = factor_design(Z):
+    the coefficients (b0, *b), intercept first, and the residual vector."""
+    _, mean, Q, R = factor
+    y = np.asarray(targets, dtype=float)
+    y_mean = float(y.sum()) / len(y)
+    r = y - y_mean
+    b = []
+    for q in Q:  # project out each column in turn
+        b.append(float(q @ r))
+        r -= b[-1] * q
+    for j in reversed(range(len(b))):  # back-substitute R b = Q (y - y_mean)
+        b[j] = (b[j] - sum(R[k][j] * b[k] for k in range(j + 1, len(b)))) / R[j][j]
+    return (y_mean - sum(m * bj for m, bj in zip(mean, b)), *b), r
 
 
 @dataclass(frozen=True)
 class _Separable:
-    """One model as y(theta) ~ A(theta) . b, theta in [0, hi]; dr(theta, b)
-    is d(y - A . b)/dtheta at fixed b.  reduced is A without its alpha
-    column, for the re-solve when alpha < 0; a view of A would change the
-    solve in the last bit."""
+    """One model as y(theta) ~ b0 + Z(theta) . b, theta in [0, hi]; factor(theta)
+    is factor_design(Z(theta)) and dr(theta, b) is d(y - b0 - Z . b)/dtheta at
+    fixed (b0, *b).  reduced is the factor of Z without its last (alpha)
+    column, for the re-solve when alpha < 0."""
 
     target: Callable
-    design: Callable
+    factor: Callable
     dr: Callable
     hi: float = np.inf
-    reduced: np.ndarray | None = None
+    reduced: tuple | None = None
 
     def solve(self, theta):
         """Least-squares coefficients at theta, with residuals and loss."""
-        y, A = self.target(theta), self.design(theta)
-        b = solve_loglinear(y, A)
-        if self.reduced is not None and b[0] < 0:
-            b_reduced = solve_loglinear(y, self.reduced)
-            r = y - self.reduced @ b_reduced
-            b = np.concatenate(([0.0], b_reduced))
-        else:
-            r = y - A @ b
-        return b, r, float(np.mean(r**2))
+        y = self.target(theta)
+        b, r = solve_loglinear(y, self.factor(theta))
+        if self.reduced is not None and b[-1] < 0:
+            b, r = solve_loglinear(y, self.reduced)
+            b = (*b, 0.0)
+        return b, r, float(r @ r) / len(r)
+
+    def loss_and_grad(self, theta, b):
+        """Loss and dL/dtheta at the given coefficients (b0, *b)."""
+        r = self.target(theta) - b[0] - self.factor(theta)[0] @ np.asarray(b[1:])
+        return float(r @ r) / len(r), self.grad(theta, b, r)
 
     def grad(self, theta, b, r):
-        return float(np.mean(2.0 * r * self.dr(theta, b)))
+        return 2.0 * float(r @ self.dr(theta, b)) / len(r)
 
 
 def _eps_inf_problem(curve, eps0, alpha, hi=np.inf) -> _Separable:
     """M4 (alpha=True) or M2 (alpha=False); theta = eps_inf."""
     eps = curve.eps_array
-    logx = np.log(curve.x_array)
-    base = np.column_stack([np.ones_like(logx), logx])
-    A = np.column_stack([np.log(eps0 - eps), base]) if alpha else base
-    return _Separable(target=lambda e: np.log(eps - e), design=lambda e: A,
+    logx = np.log(curve.x_array)[:, None]
+    base = factor_design(logx)
+    full = factor_design(np.column_stack([logx, np.log(eps0 - eps)])) if alpha else base
+    return _Separable(target=lambda e: np.log(eps - e), factor=lambda e: full,
                       dr=lambda e, b: -1.0 / (eps - e), hi=hi,
                       reduced=base if alpha else None)
 
@@ -141,10 +174,9 @@ def _gamma_problem(curve) -> _Separable:
     """M3; theta = gamma."""
     inv_x = 1.0 / curve.x_array
     y = np.log(curve.eps_array)
-    return _Separable(
-        target=lambda g: y,
-        design=lambda g: np.column_stack([np.ones_like(inv_x), np.log(inv_x + g)]),
-        dr=lambda g, b: -b[1] / (inv_x + g))
+    return _Separable(target=lambda g: y,
+                      factor=lambda g: factor_design(np.log(inv_x + g)[:, None]),
+                      dr=lambda g, b: -b[1] / (inv_x + g))
 
 
 def _loss_and_grad(curve, p):
@@ -155,9 +187,8 @@ def _loss_and_grad(curve, p):
         raise FitError("eps_inf exceeds observed loss")
     else:
         problem = _eps_inf_problem(curve, p.eps0, alpha=True)
-        theta, b = p.eps_inf, (p.alpha, np.log(p.beta), p.c)
-    r = problem.target(theta) - problem.design(theta) @ b
-    return float(np.mean(r**2)), problem.grad(theta, b, r)
+        theta, b = p.eps_inf, (np.log(p.beta), p.c, p.alpha)
+    return problem.loss_and_grad(theta, b)
 
 
 def loss_m4(curve: LearningCurve, p: M4Params) -> float:
@@ -249,7 +280,7 @@ def _fit_eps_inf(curve, cfg, alpha):
     problem = _eps_inf_problem(curve, curve.eps0, alpha,
                                hi=(1.0 - EPS_INF_MARGIN) * eps_min)
     e_inf, b, *rest = _descend(problem, cfg.eps_inf_init_fraction * eps_min, cfg)
-    a, b0, c = b if alpha else (0.0, *b)
+    b0, c, a = b if alpha else (*b, 0.0)
     return _finite(b0, c, e_inf, a), *rest
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import grid_fit_m2, grid_fit_m3, grid_fit_m4, relerr
-from scalefit.curve import LearningCurve
+from scalefit.curve import LearningCurve, split_for_extrapolation
 from scalefit.evaluation import ABLATION_NAME, fit_models
 from scalefit.fitting import (
     EPS_INF_MARGIN,
@@ -14,6 +16,7 @@ from scalefit.fitting import (
     _Separable,
     dloss_m3_dgamma,
     dloss_m4_deps_inf,
+    factor_design,
     fit_m1,
     fit_m2,
     fit_m3,
@@ -84,17 +87,48 @@ class TestLosses:
         assert loss_m3(curve, p) == pytest.approx(np.mean(np.square(rs)), rel=1e-12)
 
 
+def solve(targets, features):
+    return solve_loglinear(targets, factor_design(features))
+
+
+@st.composite
+def designs(draw):
+    """targets and an (n, p) feature matrix, p in {0, 1, 2} and n in p+1..100:
+    log x with a random, a nearly collinear or an M4-like log(eps0 - eps)
+    second column.  The collinear column leaves the span of 1 and log x at
+    an angle of 0.5 to 5 degrees, whatever n, which bounds the design's
+    condition number near 1e3: both solvers then agree to 1e-9."""
+    p = draw(st.integers(0, 2))
+    n = draw(st.integers(p + 1, 100))
+    kind = draw(st.sampled_from(["random", "collinear", "m4"])) if p == 2 else "random"
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logx = rng.uniform(0, draw(st.floats(1, 14)), n)
+    if kind == "random":
+        second = rng.normal(draw(st.floats(-50, 50)), draw(st.floats(1e-3, 1e3)), n)
+    elif kind == "collinear":
+        span = np.column_stack([np.ones(n), logx])
+        away = rng.normal(size=n)
+        away -= span @ np.linalg.lstsq(span, away, rcond=None)[0]
+        tilt = np.linalg.norm(logx - logx.mean()) * draw(st.floats(1e-2, 1e-1))
+        second = draw(st.floats(-5, 5)) * logx + 2.0 + tilt * away / np.linalg.norm(away)
+    else:
+        eps0 = 10 ** draw(st.floats(-3, 3))
+        second = np.log(eps0 - rng.uniform(0, eps0, n))
+    y = rng.normal(draw(st.floats(-10, 10)), draw(st.floats(1e-3, 10)), n)
+    return y, np.column_stack([logx, second])[:, :p]
+
+
 class TestSolveLoglinear:
+    """The intercept is implied: solve(y, Z) fits y ~ b0 + Z . b."""
+
     def test_exactly_determined(self):
-        A = [[1.0, 0.0], [1.0, 1.0]]
-        y = [2.0, 5.0]
-        assert np.allclose(solve_loglinear(y, A), [2.0, 3.0])
+        assert np.allclose(solve([2.0, 5.0], [[0.0], [1.0]])[0], [2.0, 3.0])
 
     def test_matches_grid_search(self):
         rng = np.random.default_rng(3)
         A = np.column_stack([np.ones(5), rng.uniform(-1, 1, 5)])
         y = rng.uniform(-1, 1, 5)
-        coef = solve_loglinear(y, A)
+        coef, _ = solve(y, A[:, 1:])
         grid = np.arange(-2, 2, 1e-3)
         best = (np.inf, None, None)
         for a_block in np.array_split(grid, 40):
@@ -111,8 +145,9 @@ class TestSolveLoglinear:
         rng = np.random.default_rng(5)
         A = np.column_stack([np.ones(8), rng.uniform(0, 3, 8)])
         y = rng.uniform(-1, 1, 8)
-        coef = solve_loglinear(y, A)
+        coef, resid = solve(y, A[:, 1:])
         base = np.mean((y - A @ coef) ** 2)
+        assert np.allclose(resid, y - A @ coef, rtol=0, atol=1e-15)
         for i in range(2):
             for sign in (-1, 1):
                 other = np.array(coef)
@@ -120,13 +155,37 @@ class TestSolveLoglinear:
                 assert np.mean((y - A @ other) ** 2) >= base
 
     def test_collinear_rejected(self):
-        A = [[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]
         with pytest.raises(DegenerateDesignError):
-            solve_loglinear([1.0, 2.0, 3.0], A)
+            solve([1.0, 2.0, 3.0], [[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+
+    @pytest.mark.parametrize("Z", [[[0.3], [0.3], [0.3], [0.3]],  # constant: the intercept
+                                   [[1.0, 1.0], [2.0, 2.0], [5.0, 5.0], [9.0, 9.0]]])
+    def test_constant_and_duplicated_columns_rejected(self, Z):
+        with pytest.raises(DegenerateDesignError, match="degenerate design"):
+            factor_design(Z)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_feature_rejected(self, bad):
+        Z = np.log(np.arange(1.0, 7.0))[:, None] * [1.0, 2.0] + [0.0, 1.0]
+        Z[3, 1] = bad
+        with pytest.raises(DegenerateDesignError, match="non-finite"):
+            solve(np.arange(6.0), Z)
 
     def test_underdetermined_rejected(self):
         with pytest.raises(DegenerateDesignError):
-            solve_loglinear([1.0], [[1.0, 2.0]])
+            solve([1.0], [[2.0]])
+
+    @given(designs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_lstsq_and_residual_is_orthogonal(self, design):
+        y, Z = design
+        A = np.column_stack([np.ones(len(y)), Z])
+        ref = np.linalg.lstsq(A, y, rcond=None)[0]
+        coef, resid = solve(y, Z)
+        scale = np.linalg.norm(y)
+        assert np.linalg.norm(np.subtract(coef, ref)) <= 1e-9 * np.linalg.norm(ref)
+        assert np.linalg.norm(resid - (y - A @ ref)) <= 1e-9 * scale
+        assert np.all(np.abs(A.T @ resid) <= 1e-9 * np.linalg.norm(A, axis=0) * scale)
 
 
 class TestFitM1:
@@ -242,7 +301,7 @@ class TestLineSearch:
         # loss(theta) = theta^2, but dr has the wrong sign, so every step,
         # however often it is halved, moves theta up from 1 and the loss rises
         uphill = _Separable(target=lambda t: np.array([t, -t]),
-                            design=lambda t: np.ones((2, 1)),
+                            factor=lambda t: factor_design(np.empty((2, 0))),
                             dr=lambda t, b: np.array([-1.0, 1.0]))
         cfg = FitConfig(learning_rate=1.0, backtracking=True)
         theta, coeffs, loss, iterations, converged = _descend(uphill, 1.0, cfg)
@@ -374,6 +433,39 @@ class TestGradientDrivesFit:
         expect = max(gamma0 - cfg.effective_rate * grad, 0.0)
         assert expect != gamma0
         assert fit_m3(curve, cfg).params.gamma == pytest.approx(expect, rel=1e-12)
+
+
+class TestPinnedIterates:
+    """(iterations, converged) of fit_m2, fit_m3 and fit_m4 on two train
+    splits of the benchmark's fit-recipe tasks (seed 0, noise 0.01, eps0 10),
+    under the paper's recipe and FAST.  The values were recorded with the
+    previous solver, one lstsq per step: a change to the solve that moves a
+    single iterate shows here."""
+
+    TASK_XS = 2.0 ** (np.arange(97) / 8.0)
+    SHAPES = {
+        "M2-4": (5, M2Params(eps_inf=0.029193895350950988, beta=1.9277774679110384,
+                             c=-0.36321282456253456)),
+        "M4-9": (27, M4Params(eps0=10.0, eps_inf=0.06083781197928617,
+                              alpha=0.916724986851174, beta=0.43833730046155606,
+                              c=-0.44084407833158046)),
+    }
+    PINNED = {
+        ("M2-4", "recipe"): [(2, True), (1343, True), (2, True)],
+        ("M2-4", "FAST"): [(99, True), (8, True), (154, True)],
+        ("M4-9", "recipe"): [(2, True), (1148, True), (2, True)],
+        ("M4-9", "FAST"): [(158, True), (20, True), (303, True)],
+    }
+
+    @pytest.mark.parametrize("shape, cfg_name", PINNED)
+    def test_iterations_and_convergence(self, shape, cfg_name):
+        k, params = self.SHAPES[shape]
+        curve = generate_from_model(params, self.TASK_XS, 0.01,
+                                    np.random.default_rng([0, k, 0]), eps0=10.0)
+        train = split_for_extrapolation(curve).train
+        cfg = FitConfig() if cfg_name == "recipe" else FAST
+        fits = [fit(train, cfg) for fit in (fit_m2, fit_m3, fit_m4)]
+        assert [(r.iterations, r.converged) for r in fits] == self.PINNED[shape, cfg_name]
 
 
 class TestNonFiniteFits:
