@@ -64,22 +64,25 @@ def _add_fit_flags(p):
                    help="lower x cutoff for fitting, a number or 'auto' "
                         "(geometric midpoint of each task's train side; "
                         "of the whole curve for fit)")
-    p.add_argument("--lr", type=float, default=FitConfig.learning_rate,
-                   help="gradient learning rate")
-    p.add_argument("--rate-multiplier", type=float, default=FitConfig.rate_multiplier,
-                   help="uniform multiplier on the learning rate")
-    p.add_argument("--max-iters", type=int, default=FitConfig.max_outer_iters,
-                   help="max outer coordinate-descent iterations")
+    # each descent flag is a FitConfig field, present in args only when given
+    p.add_argument("--lr", dest="learning_rate", type=float, default=argparse.SUPPRESS,
+                   help=f"gradient learning rate (descent; default {FitConfig.learning_rate})")
+    p.add_argument("--rate-multiplier", type=float, default=argparse.SUPPRESS,
+                   help="uniform multiplier on the learning rate (descent)")
+    p.add_argument("--max-iters", dest="max_outer_iters", type=int, default=argparse.SUPPRESS,
+                   help="max outer coordinate-descent iterations (descent)")
     p.add_argument("--truncate-at-peak", action="store_true",
                    help="truncate each curve at its first loss minimum")
-    p.add_argument("--backtracking", action="store_true",
+    p.add_argument("--backtracking", action="store_true", default=argparse.SUPPRESS,
                    help="halve rejected gradient steps until the loss is "
-                        "non-increasing (accelerates large learning rates)")
+                        "non-increasing (descent; accelerates large learning rates)")
 
 
-def _cfg_from(args) -> FitConfig:
-    return FitConfig(learning_rate=args.lr, rate_multiplier=args.rate_multiplier,
-                     max_outer_iters=args.max_iters, backtracking=args.backtracking)
+def _cfg_from(args) -> FitConfig | None:
+    """None, the profile search, unless a descent flag is given: then the
+    descent, with FitConfig's defaults for the flags not given."""
+    given = {k: v for k, v in vars(args).items() if k in FitConfig.__dataclass_fields__}
+    return FitConfig(**given) if given else None
 
 
 def _parse_cutoff(spec: str):

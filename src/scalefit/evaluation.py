@@ -66,12 +66,13 @@ def extrapolation_rmse(predicted, actual) -> float:
     return float(np.sqrt(np.mean((np.log(p) - np.log(a)) ** 2)))
 
 
-def fit_models(curve, cfg: FitConfig = FitConfig(), models=MODEL_NAMES) -> dict:
+def fit_models(curve, cfg: FitConfig | None = None, models=MODEL_NAMES) -> dict:
     """name -> FitResult of each model on curve, in the order of models, or the
     message of the FitError, ValueError or FloatingPointError that stopped it:
     a model that cannot be fit is recorded and the others are still fit.  The
     no-alpha ablation is M2's fit, fit once, reported as
-    M4Params(eps0, eps_inf, 0, beta, c)."""
+    M4Params(eps0, eps_inf, 0, beta, c).  cfg None fits by the exact profile
+    search, a FitConfig by the paper's gradient descent (see fitting)."""
     fitters = {"M1": lambda: fit_m1(curve), "M2": lambda: fit_m2(curve, cfg),
                "M3": lambda: fit_m3(curve, cfg), "M4": lambda: fit_m4(curve, cfg)}
     fits, done = {}, {}
@@ -98,7 +99,7 @@ def winners_under(rmse_by_model: dict, tie: TieRule) -> frozenset:
                      if v < math.inf and tie.tie(v, best))
 
 
-def evaluate_task(split: CurveSplit, cfg: FitConfig = FitConfig(),
+def evaluate_task(split: CurveSplit, cfg: FitConfig | None = None,
                   models=MODEL_NAMES, tie: TieRule = TieRule()) -> ExtrapolationReport:
     """Fit each model on the train split and score it on the holdout.
 

@@ -9,9 +9,11 @@ coefficients solved exactly by least squares and theta one scalar in [0, hi]:
     M3  log eps            ~ log beta + log(1/x + gamma) . c                gamma
 
 M2 is M4 without the alpha column and M1 is M2 at eps_inf = 0; a negative
-alpha is projected to 0.  Z is factored once per fit, or per step for M3.
-Each outer iteration solves the coefficients, then takes one clamped gradient
-step on theta, 1e-7 by default (variable projection, Golub & Pereyra 1973),
+alpha is projected to 0.  Z is factored once per fit, or per solve for M3.
+The loss is then a function of theta alone (variable projection, Golub &
+Pereyra 1973).  By default (cfg None) theta is searched exactly (_profile).
+A FitConfig selects the paper's recipe: each outer iteration solves the
+coefficients, then takes one clamped gradient step on theta, 1e-7 by default,
 until the loss decrease falls below convergence_tol or max_outer_iters is
 reached.  loss_* and dloss_* evaluate the same residual as the fitters.
 """
@@ -28,6 +30,11 @@ from .curve import LearningCurve
 from .models import M1Params, M2Params, M3Params, M4Params
 
 EPS_INF_MARGIN = 1e-6  # eps_inf is clamped to [0, (1 - EPS_INF_MARGIN) * min eps]
+EPS_INF_GRID = 64  # linear grid points on [0, hi], plus EPS_INF_TOP geometric ones
+EPS_INF_TOP = 32  # toward hi, where basins narrow with min eps - eps_inf
+GAMMA_GRID = np.concatenate([[0.0], np.geomspace(1e-8, 1e2, 200)])
+GOLDEN_STEPS = 60  # shrink the bracket by 0.618^60, about 3e-13
+LOG_BETA_MAX = np.log(np.finfo(float).max)  # exp(log beta) overflows from here
 
 
 class FitError(RuntimeError):
@@ -133,13 +140,16 @@ class _Separable:
     """One model as y(theta) ~ b0 + Z(theta) . b, theta in [0, hi]; factor(theta)
     is factor_design(Z(theta)) and dr(theta, b) is d(y - b0 - Z . b)/dtheta at
     fixed (b0, *b).  reduced is the factor of Z without its last (alpha)
-    column, for the re-solve when alpha < 0."""
+    column, for the re-solve when alpha < 0.  losses(thetas) is the loss at
+    each theta of an array, in one batch; for M3, inf where the design is
+    degenerate or beta leaves float range."""
 
     target: Callable
     factor: Callable
     dr: Callable
     hi: float = np.inf
     reduced: tuple | None = None
+    losses: Callable | None = None
 
     def solve(self, theta):
         """Least-squares coefficients at theta, with residuals and loss."""
@@ -165,18 +175,45 @@ def _eps_inf_problem(curve, eps0, alpha, hi=np.inf) -> _Separable:
     logx = np.log(curve.x_array)[:, None]
     base = factor_design(logx)
     full = factor_design(np.column_stack([logx, np.log(eps0 - eps)])) if alpha else base
+
+    def losses(thetas):  # Z is fixed: every centred target projected through Q at once
+        Y = np.log(np.subtract.outer(eps, thetas))
+        Y -= Y.sum(axis=0) / len(eps)
+        B = full[2] @ Y
+        R = Y - full[2].T @ B
+        neg = alpha & (B[-1] < 0)  # alpha has its projection's sign, as R[-1][-1] > 0
+        R[:, neg] = Y[:, neg] - base[2].T @ (base[2] @ Y[:, neg])
+        return (R * R).sum(axis=0) / len(eps)
+
     return _Separable(target=lambda e: np.log(eps - e), factor=lambda e: full,
                       dr=lambda e, b: -1.0 / (eps - e), hi=hi,
-                      reduced=base if alpha else None)
+                      reduced=base if alpha else None, losses=losses)
 
 
 def _gamma_problem(curve) -> _Separable:
     """M3; theta = gamma."""
     inv_x = 1.0 / curve.x_array
     y = np.log(curve.eps_array)
+    n = len(y)
+    y_mean = y.sum() / n
+    yc = y - y_mean
+
+    def losses(gammas):  # the 2x2 fit in closed form, one column per gamma
+        Z = np.log(np.add.outer(inv_x, gammas))
+        norm, mean = np.sqrt((Z * Z).sum(axis=0)), Z.sum(axis=0) / n
+        Z -= mean
+        s = np.sqrt((Z * Z).sum(axis=0))
+        ok = s > n * np.spacing(norm)  # factor_design's rank test
+        s[~ok] = 1.0
+        b = yc @ Z / s  # the projection of yc on each unit column
+        r = yc[:, None] - Z / s * b
+        b0 = y_mean - b / s * mean
+        ok &= _positive_beta(b0)
+        return np.where(ok, (r * r).sum(axis=0) / n, np.inf)
+
     return _Separable(target=lambda g: y,
                       factor=lambda g: factor_design(np.log(inv_x + g)[:, None]),
-                      dr=lambda g, b: -b[1] / (inv_x + g))
+                      dr=lambda g, b: -b[1] / (inv_x + g), losses=losses)
 
 
 def _loss_and_grad(curve, p):
@@ -258,11 +295,64 @@ def _descend(problem: _Separable, init, cfg):
     return theta, coeffs, loss, cfg.max_outer_iters, False
 
 
+@np.errstate(over="raise", divide="raise", invalid="raise")
+def _profile(problem: _Separable, thetas):
+    """Exact outer search (the default fit): problem.losses over the grid
+    thetas, widened by decades while an unbounded theta's best is the top end,
+    then GOLDEN_STEPS golden-section steps between the best grid point's
+    neighbours, keeping the grid point if it is lower.  A theta whose design is
+    degenerate or whose beta leaves float range scores inf, and
+    DegenerateDesignError is raised if every grid point does.
+
+    Returns (theta, coeffs, loss, grid points + GOLDEN_STEPS, True).
+    """
+    losses = problem.losses(thetas)
+    while (problem.hi == np.inf and np.argmin(losses) == len(thetas) - 1
+           and thetas[-1] < 1e290):  # and before the grid overflows
+        wider = thetas[-1] * np.geomspace(1.0, 1e10, 51)[1:]
+        thetas, losses = np.append(thetas, wider), np.append(losses, problem.losses(wider))
+    if not np.any(losses < np.inf):
+        raise DegenerateDesignError("degenerate design or beta out of float range "
+                                    "at every grid point")
+
+    def loss(theta):
+        try:
+            coeffs, _, value = problem.solve(theta)
+        except DegenerateDesignError:
+            return np.inf
+        return value if _positive_beta(coeffs[0]) else np.inf
+
+    k = int(np.argmin(losses))
+    a, b = thetas[max(k - 1, 0)], thetas[min(k + 1, len(thetas) - 1)]
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = loss(c), loss(d)
+    for _ in range(GOLDEN_STEPS):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = loss(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = loss(d)
+    theta = float(min(c if fc <= fd else d, thetas[k], key=loss))
+    coeffs, _, best = problem.solve(theta)
+    return theta, coeffs, best, len(thetas) + GOLDEN_STEPS, True
+
+
+def _positive_beta(b0):
+    """Whether beta = exp(b0) is a positive float, elementwise."""
+    return (b0 < LOG_BETA_MAX) & (np.exp(np.minimum(b0, 0.0)) > 0.0)
+
+
 def _finite(b0, *rest):
-    """(exp(b0), *rest) as floats; FitError, not an overflow, when one would
-    not be finite."""
-    if not (b0 < np.log(np.finfo(float).max) and np.all(np.isfinite(rest))):
+    """(exp(b0), *rest) as floats; FitError, not an overflow or a beta of 0,
+    when one would not be finite or positive."""
+    if not (b0 < LOG_BETA_MAX and np.all(np.isfinite(rest))):
         raise FitError("fit produced a non-finite parameter")
+    if not _positive_beta(b0):
+        raise FitError("fitted beta underflows to 0")
     return float(np.exp(b0)), *map(float, rest)
 
 
@@ -279,12 +369,18 @@ def _fit_eps_inf(curve, cfg, alpha):
     eps_min = float(curve.eps_array.min())
     problem = _eps_inf_problem(curve, curve.eps0, alpha,
                                hi=(1.0 - EPS_INF_MARGIN) * eps_min)
-    e_inf, b, *rest = _descend(problem, cfg.eps_inf_init_fraction * eps_min, cfg)
+    if cfg is not None:
+        e_inf, b, *rest = _descend(problem, cfg.eps_inf_init_fraction * eps_min, cfg)
+    else:
+        grid = np.linspace(0.0, problem.hi, EPS_INF_GRID)
+        # ascending, inside the top interval, as 1/EPS_INF_GRID < 1/(EPS_INF_GRID - 1)
+        top = problem.hi * (1 - np.geomspace(1 / EPS_INF_GRID, EPS_INF_MARGIN, EPS_INF_TOP))
+        e_inf, b, *rest = _profile(problem, np.concatenate([grid[:-1], top, grid[-1:]]))
     b0, c, a = b if alpha else (*b, 0.0)
     return _finite(b0, c, e_inf, a), *rest
 
 
-def fit_m2(curve: LearningCurve, cfg: FitConfig = FitConfig()) -> FitResult:
+def fit_m2(curve: LearningCurve, cfg: FitConfig | None = None) -> FitResult:
     """Fit eps = eps_inf + beta * x^c: fit_m4 without the alpha column, so
     also the no-alpha ablation, which evaluation.fit_models reports from it."""
     _require_points(curve, 3, "M2")
@@ -292,28 +388,30 @@ def fit_m2(curve: LearningCurve, cfg: FitConfig = FitConfig()) -> FitResult:
     return FitResult(M2Params(eps_inf=e_inf, beta=beta, c=c), *rest)
 
 
-def fit_m3(curve: LearningCurve, cfg: FitConfig = FitConfig()) -> FitResult:
+def fit_m3(curve: LearningCurve, cfg: FitConfig | None = None) -> FitResult:
     """Fit eps = beta * (1/x + gamma)^c.
 
     Given gamma, (log beta, c) is the least-squares fit of log eps on
-    (1, log(1/x + gamma)); gamma then takes a gradient step with
-    dL/dgamma = mean(-2 r_i * c / (1/x_i + gamma)), clamped to gamma >= 0.
+    (1, log(1/x + gamma)); gamma >= 0 is searched from GAMMA_GRID, or under a
+    FitConfig takes gradient steps with dL/dgamma = mean(-2 r_i c / (1/x_i + gamma)).
     """
     _require_points(curve, 3, "M3")
-    gamma, (b0, c), loss, iters, conv = _descend(_gamma_problem(curve), cfg.gamma_init, cfg)
+    problem = _gamma_problem(curve)
+    gamma, (b0, c), loss, iters, conv = (_profile(problem, GAMMA_GRID) if cfg is None
+                                         else _descend(problem, cfg.gamma_init, cfg))
     return FitResult(M3Params(*_finite(b0, c, gamma)), loss, iters, conv)
 
 
-def fit_m4(curve: LearningCurve, cfg: FitConfig = FitConfig()) -> FitResult:
+def fit_m4(curve: LearningCurve, cfg: FitConfig | None = None) -> FitResult:
     """Fit (eps - eps_inf)/(eps0 - eps)^alpha = beta x^c.
 
     eps0 is fixed to curve.eps0.  Given eps_inf, (alpha, log beta, c) is the
     least-squares fit of log(eps - eps_inf) on (log(eps0 - eps), 1, log x);
     a negative alpha is projected to zero by re-solving with the alpha
-    feature dropped.  eps_inf then takes a gradient step with
-    dL/deps_inf = mean(-2 r_i / (eps_i - eps_inf)) and is clamped to
-    [0, (1 - EPS_INF_MARGIN) * min eps].  The no-alpha ablation is not fit
-    here: with alpha = 0 this is fit_m2, whose fit evaluation.fit_models reports.
+    feature dropped.  eps_inf in [0, (1 - EPS_INF_MARGIN) * min eps] is searched
+    from EPS_INF_GRID + EPS_INF_TOP points, or under a FitConfig takes steps with
+    dL/deps_inf = mean(-2 r_i / (eps_i - eps_inf)).  The no-alpha ablation is
+    not fit here: with alpha = 0 this is fit_m2, whose fit evaluation.fit_models reports.
     """
     _require_points(curve, 4, "M4")
     (beta, c, e_inf, alpha), *rest = _fit_eps_inf(curve, cfg, alpha=True)

@@ -107,7 +107,7 @@ class BenchmarkRun:
     skipped: tuple = ()  # (path, diagnostic) pairs
 
 
-def run_benchmark(task_paths, cfg: FitConfig = FitConfig(), models=MODEL_NAMES,
+def run_benchmark(task_paths, cfg: FitConfig | None = None, models=MODEL_NAMES,
                   tie: TieRule = TieRule(), truncate_peak: bool = False,
                   cutoff=0.0, seed: int | None = None) -> BenchmarkRun:
     """Split each task at tau = x_max/2, fit, score, and rank.

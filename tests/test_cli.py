@@ -225,26 +225,26 @@ class TestFitFailurePolicy:
         assert code == 0
         fits = json.loads(out)["fits"]
         assert fits["M1"]["converged"] and fits["M1"]["params"]["model_form"] == "M1Params"
-        assert fits["M3"] == {"error": "beta must be positive"}
+        assert fits["M3"] == {"error": "fitted beta underflows to 0"}
 
     def test_plotdata_keeps_the_fitted_model(self, capsys, path):
         code, out, err = run_cli(capsys, "plotdata", path, *self.FLAGS)
         assert code == 0
         assert out.splitlines()[0] == "x,pred_M1,observed,split"
-        assert 'not fit: {"M3": "beta must be positive"}' in err
+        assert 'not fit: {"M3": "fitted beta underflows to 0"}' in err
 
     def test_plotdata_exits_3_when_no_model_fits(self, capsys, path):
         code, out, err = run_cli(capsys, "plotdata", path, *self.FLAGS[2:])
         assert code == 3
         assert out == ""
-        assert 'not fit: {"M3": "beta must be positive"}' in err
+        assert 'not fit: {"M3": "fitted beta underflows to 0"}' in err
 
     def test_evaluate_records_the_failed_model(self, capsys, path):
         code, out, _ = run_cli(capsys, "evaluate", path, *self.FLAGS)
         assert code == 0
         doc = json.loads(out)
         assert doc["winners"] == ["M1"]
-        assert doc["diagnostics"] == {"M3": "beta must be positive"}
+        assert doc["diagnostics"] == {"M3": "fitted beta underflows to 0"}
 
 
 class TestEvaluateMatchesBenchmark:
@@ -288,7 +288,11 @@ class TestDefaults:
 
     def test_no_flags_build_the_default_objects(self):
         parser = build_parser()
-        assert _cfg_from(parser.parse_args(["fit", "t.json"])) == FitConfig()
+        assert _cfg_from(parser.parse_args(["fit", "t.json"])) is None  # the profile search
+        # any one descent flag selects the descent, FitConfig's defaults for the rest
+        assert _cfg_from(parser.parse_args(["fit", "t.json", "--lr", "1e-7"])) == FitConfig()
+        assert _cfg_from(parser.parse_args(["fit", "t.json", "--backtracking"])) == FitConfig(
+            backtracking=True)
         args = parser.parse_args(["benchmark", "t.json"])
         assert TieRule(abs_tol=args.tie_abs, rel_tol=args.tie_rel) == TieRule()
         args = parser.parse_args(["synth"])

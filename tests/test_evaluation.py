@@ -239,7 +239,7 @@ class TestTotality:
     """Any valid curve gives each model finite parameters or a diagnostic,
     and a finite RMSE or a diagnostic, with no numpy warning on the way."""
 
-    CONFIGS = (FAST, FitConfig(max_outer_iters=100),
+    CONFIGS = (None, FAST, FitConfig(max_outer_iters=100),
                FitConfig(rate_multiplier=1e6, max_outer_iters=100))
 
     @given(curves())

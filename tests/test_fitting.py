@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import grid_fit_m2, grid_fit_m3, grid_fit_m4, relerr
+from strategies import curves
 from scalefit.curve import LearningCurve, split_for_extrapolation
 from scalefit.evaluation import ABLATION_NAME, fit_models
 from scalefit.fitting import (
@@ -403,6 +404,92 @@ class TestFitM4:
         assert isinstance(fit, FitResult)
 
 
+class TestProfileSolve:
+    """The default fit (cfg None): a grid over eps_inf or gamma, then golden
+    section, reaching the optimum where the lr-1e-7 descent stalls and FAST
+    stops at a local minimum."""
+
+    XS = np.geomspace(1, 4096, 12)
+
+    def test_recovers_eps_inf_where_the_recipe_stalls(self):
+        # FitConfig() stops here after 2 iterations at its initial 0.10781
+        curve = generate_from_model(M2Params(0.2, 1.0, -0.5), self.XS, eps0=10.0)
+        r = fit_m2(curve)
+        assert relerr(r.params.eps_inf, 0.2) < 1e-9
+        assert r.converged
+
+    def test_noisy_m4_reaches_the_oracle_loss(self):
+        # FAST stops at eps_inf 0.0381 with loss 3.222e-3
+        pts = [[1, 0.149438], [2, 0.133251], [4, 0.117521], [8, 0.0988232],
+               [16, 0.0908962], [32, 0.084755], [64, 0.0756065], [128, 0.0713609],
+               [256, 0.0702027], [512, 0.0616358], [1024, 0.0604147]]
+        curve = curve_of(*zip(*pts))
+        oracle = loss_m4(curve, grid_fit_m4(curve))
+        assert oracle == pytest.approx(2.774e-3, rel=1e-3)
+        assert fit_m4(curve).train_loss == pytest.approx(oracle, rel=1e-9)
+
+    def test_recovers_m4_where_fast_collapses(self):
+        # FAST collapses to eps_inf 0, alpha 0 and c -0.109 here
+        true = M4Params(1.0, 0.05394, 1.1182, 0.10926, -0.39848)
+        fit = fit_m4(generate_from_model(true, self.XS, eps0=1.0)).params
+        for name in ("eps_inf", "alpha", "beta", "c"):
+            assert relerr(getattr(fit, name), getattr(true, name)) < 1e-8, name
+
+    def test_criterion_3_m4_draws_all_recovered(self):
+        # criterion 3's M4 ranges and tolerance; FAST misses 3 of these 200
+        rng = np.random.default_rng(1000)
+        misses = []
+        for _ in range(200):
+            true = M4Params(1.0, rng.uniform(0.01, 0.06), rng.uniform(0.2, 1.2),
+                            rng.uniform(0.1, 0.3), rng.uniform(-0.45, -0.2))
+            fit = fit_m4(generate_from_model(true, self.XS, eps0=1.0)).params
+            if any(relerr(getattr(fit, f), getattr(true, f)) >= 1e-2
+                   for f in ("eps_inf", "alpha", "beta", "c")):
+                misses.append(true)
+        assert misses == []
+
+    def test_every_gamma_degenerate_is_degenerate_design(self):
+        # log x is one float for all three x, so log(1/x + gamma) is constant too
+        curve = curve_of([1e10, 1e10 + 2e-6, 1e10 + 4e-6], [0.5, 0.4, 0.3])
+        with pytest.raises(DegenerateDesignError, match="degenerate design .* every grid point"):
+            fit_m3(curve)
+
+    @staticmethod
+    def _loss(curve, p):
+        """The square-log loss of oracle params, computed apart from loss_*."""
+        x, eps = curve.x_array, curve.eps_array
+        if isinstance(p, M3Params):
+            r = np.log(eps) - np.log(p.beta) - p.c * np.log(1 / x + p.gamma)
+        else:
+            r = (np.log(eps - p.eps_inf) - getattr(p, "alpha", 0.0) * np.log(curve.eps0 - eps)
+                 - np.log(p.beta) - p.c * np.log(x))
+        return float(np.mean(r * r))
+
+    @given(curves())
+    # M2's and M4's best eps_inf within 1/64 of min eps, in a basin narrower
+    # than the linear grid's spacing
+    @example(curve_of((2.3050503407460945, 3.0981862824805235, 44.65483660538728,
+                       3745.9286594760715), (1.6927959533944437, 1.2556652002137543,
+                                             0.7990652179844702, 0.7309125304521047),
+                      eps0=1.9746612355558992))
+    @example(curve_of((1.0, 82491.94191178266, 842155.2977604007),
+                      (336.08646990579194, 385.9551220560279, 480.43231887485507),
+                      eps0=488.2115483547983))
+    @settings(max_examples=25, deadline=None)
+    def test_no_higher_loss_than_the_grid_oracles(self, curve):
+        for fit, oracle, points in ((fit_m2, grid_fit_m2, 3), (fit_m3, grid_fit_m3, 3),
+                                    (fit_m4, grid_fit_m4, 4)):
+            if len(curve) < points:
+                continue
+            try:  # the oracle's own log(0), or a beta out of float range
+                oracle_loss = self._loss(curve, oracle(curve))
+            except (RuntimeWarning, ValueError):
+                continue
+            # plus the rounding of log eps, for curves that both fit to rounding
+            floor = (8 * np.spacing(np.abs(np.log(curve.eps_array)).max())) ** 2
+            assert fit(curve).train_loss <= oracle_loss * (1 + 1e-9) + floor, fit.__name__
+
+
 class TestGradientDrivesFit:
     """One outer iteration without backtracking moves theta by -rate times
     the public gradient at the params solved at theta0 (a pinned fit); the
@@ -484,6 +571,12 @@ class TestNonFiniteFits:
         curve = curve_of([1, 2, 4], [0.5, 0.5, 5e-324])
         with pytest.raises(FloatingPointError, match="overflow"):
             fit_m2(curve, FitConfig())
+
+    def test_underflowing_beta_is_fit_error(self):
+        # exact fit with alpha 753.7 and log beta -15,620, whose exp is 0
+        xs = np.geomspace(1, 4096, 12)
+        curve = curve_of(xs, 0.3 * xs ** -0.4 + 0.05, eps0=1e9)
+        assert fit_models(curve, FAST, ("M4",)) == {"M4": "fitted beta underflows to 0"}
 
     def test_non_finite_step_is_fit_error(self):
         cfg = FitConfig(learning_rate=1e200, rate_multiplier=1e200)
