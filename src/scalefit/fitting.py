@@ -160,11 +160,6 @@ class _Separable:
             b = (*b, 0.0)
         return b, r, float(r @ r) / len(r)
 
-    def loss_and_grad(self, theta, b):
-        """Loss and dL/dtheta at the given coefficients (b0, *b)."""
-        r = self.target(theta) - b[0] - self.factor(theta)[0] @ np.asarray(b[1:])
-        return float(r @ r) / len(r), self.grad(theta, b, r)
-
     def grad(self, theta, b, r):
         return 2.0 * float(r @ self.dr(theta, b)) / len(r)
 
@@ -191,8 +186,12 @@ def _eps_inf_problem(curve, eps0, alpha, hi=np.inf) -> _Separable:
 
 
 def _gamma_problem(curve) -> _Separable:
-    """M3; theta = gamma."""
-    inv_x = 1.0 / curve.x_array
+    """M3; theta = gamma.  A subnormal x whose 1/x overflows is a
+    DegenerateDesignError."""
+    with np.errstate(over="ignore"):
+        inv_x = 1.0 / curve.x_array
+    if not np.all(inv_x < np.inf):
+        raise DegenerateDesignError("non-finite design feature")
     y = np.log(curve.eps_array)
     n = len(y)
     y_mean = y.sum() / n
@@ -216,8 +215,9 @@ def _gamma_problem(curve) -> _Separable:
                       dr=lambda g, b: -b[1] / (inv_x + g), losses=losses)
 
 
-def _loss_and_grad(curve, p):
-    """(loss, dL/dtheta) at M3 (theta = gamma) or M4 (eps_inf) params."""
+def _loss_and_grad(curve, p, grad=True):
+    """(loss, dL/dtheta) at M3 (theta = gamma) or M4 (eps_inf) params; the
+    loss alone, without the gradient's 1/(eps - eps_inf), if not grad."""
     if isinstance(p, M3Params):
         problem, theta, b = _gamma_problem(curve), p.gamma, (np.log(p.beta), p.c)
     elif np.any(curve.eps_array <= p.eps_inf):
@@ -225,7 +225,9 @@ def _loss_and_grad(curve, p):
     else:
         problem = _eps_inf_problem(curve, p.eps0, alpha=True)
         theta, b = p.eps_inf, (np.log(p.beta), p.c, p.alpha)
-    return problem.loss_and_grad(theta, b)
+    r = problem.target(theta) - b[0] - problem.factor(theta)[0] @ np.asarray(b[1:])
+    loss = float(r @ r) / len(r)
+    return (loss, problem.grad(theta, b, r)) if grad else loss
 
 
 def loss_m4(curve: LearningCurve, p: M4Params) -> float:
@@ -234,12 +236,12 @@ def loss_m4(curve: LearningCurve, p: M4Params) -> float:
     residual_i = log(eps_i - eps_inf) - alpha*log(eps0 - eps_i)
                  - log(beta) - c*log(x_i)
     """
-    return _loss_and_grad(curve, p)[0]
+    return _loss_and_grad(curve, p, grad=False)
 
 
 def loss_m3(curve: LearningCurve, p: M3Params) -> float:
     """Mean of (log eps - log beta - c*log(1/x + gamma))^2."""
-    return _loss_and_grad(curve, p)[0]
+    return _loss_and_grad(curve, p, grad=False)
 
 
 def dloss_m4_deps_inf(curve: LearningCurve, p: M4Params) -> float:

@@ -584,6 +584,23 @@ class TestNonFiniteFits:
         with pytest.raises(FitError, match="non-finite step"):
             fit_m3(self.CURVE, cfg)
 
+    @pytest.mark.parametrize("cfg", [None, FitConfig()], ids=["profile", "descent"])
+    def test_subnormal_x_is_a_non_finite_design(self, cfg):
+        # 1/x overflows for x = 5e-324, which the loader accepts
+        curve = curve_of([5e-324, 1.0, 2.0, 4.0], [0.5, 0.4, 0.3, 0.2])
+        with pytest.raises(DegenerateDesignError, match="non-finite design feature"):
+            fit_m3(curve, cfg)
+        assert fit_models(curve, cfg, ("M3",)) == {"M3": "non-finite design feature"}
+
+    def test_loss_m4_skips_the_gradient_that_overflows(self):
+        # 1/(eps - eps_inf) overflows at the last point; the residual does not
+        curve = curve_of([1, 2, 4, 8], [0.5, 0.4, 0.3, 1.1125369292536007e-308])
+        p = M4Params(1.0, 1e-308, 0.0, 0.5, -0.3)
+        assert np.isfinite(loss_m4(curve, p))
+        with pytest.raises(FloatingPointError, match="overflow"), \
+                np.errstate(over="raise"):
+            dloss_m4_deps_inf(curve, p)
+
 
 class TestFitConfig:
     def test_invalid_values_rejected(self):

@@ -1,6 +1,13 @@
+import itertools
+import os
+import threading
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from scalefit import synthetic
 from scalefit.models import M1Params
 from scalefit.synthetic import (
     SphereTaskSpec,
@@ -172,6 +179,102 @@ class TestGenerateSphereCurve:
             SphereTaskSpec(d=10, delta=0.6, sample_sizes=(4, 8))
         with pytest.raises(ValueError):
             SphereTaskSpec(d=10, delta=0.2, sample_sizes=(8, 8))
+
+
+def serial_sphere_eps(spec):
+    """generate_sphere_curve's rates drawn one trial after another on this
+    thread, from the public functions and the documented seeding."""
+    w_seq, data_seq = np.random.SeedSequence(spec.seed).spawn(2)
+    g = np.random.default_rng(w_seq).standard_normal(spec.d)
+    w_star = g / np.linalg.norm(g)
+    children = iter(data_seq.spawn(len(spec.sample_sizes) * spec.trials))
+    eps = []
+    for n in spec.sample_sizes:
+        rates = []
+        for _ in range(spec.trials):
+            rng = np.random.default_rng(next(children))
+            X, y = sample_sphere_dataset(spec.d, n, w_star, spec.delta, rng)
+            w = train_logistic(X, y)
+            rates.append(misclassification_rate(w, spec.d, w_star, spec.delta,
+                                                spec.test_size, rng))
+        eps.append(float(np.mean(rates)))
+    return tuple(eps)
+
+
+class TestThreadedTrials:
+    """generate_sphere_curve runs its trials on up to two threads."""
+
+    SPEC = SphereTaskSpec(d=50, delta=0.2, sample_sizes=(256, 1024, 4096),
+                          test_size=2000, trials=3, seed=3)
+
+    def test_bit_identical_to_serial_generation(self, monkeypatch):
+        spans, train = [], synthetic.train_logistic
+
+        def timed(X, y):
+            start = time.perf_counter()
+            w = train(X, y)
+            spans.append((start, time.perf_counter(), threading.get_ident()))
+            return w
+
+        monkeypatch.setattr(synthetic, "train_logistic", timed)
+        assert generate_sphere_curve(self.SPEC).curve.eps == serial_sphere_eps(self.SPEC)
+        assert len(spans) == 9
+        if (os.cpu_count() or 1) >= 2:  # two threads trained at the same time
+            assert any(a0 < b1 and b0 < a1 and ta != tb
+                       for (a0, a1, ta), (b0, b1, tb) in itertools.combinations(spans, 2))
+
+    def test_error_in_a_trial_reaches_the_caller_unchanged(self, monkeypatch):
+        class TrialFailed(Exception):
+            pass
+
+        err, train = TrialFailed("n=1024"), synthetic.train_logistic
+
+        def failing(X, y):
+            if len(X) == 1024:
+                raise err
+            return train(X, y)
+
+        monkeypatch.setattr(synthetic, "train_logistic", failing)
+        with pytest.raises(TrialFailed) as info:
+            generate_sphere_curve(self.SPEC)
+        assert info.value is err
+
+    def test_callers_errstate_applies_in_the_trials(self, monkeypatch):
+        seen, train = [], synthetic.train_logistic
+
+        def recording(X, y):
+            seen.append(np.geterr()["over"])
+            return train(X, y)
+
+        monkeypatch.setattr(synthetic, "train_logistic", recording)
+        with np.errstate(over="raise"):
+            generate_sphere_curve(SMALL_SPEC)
+        assert seen == ["raise"] * (len(SMALL_SPEC.sample_sizes) * SMALL_SPEC.trials)
+
+
+class TestPeakMemory:
+    """Neither the sampler nor the trainer builds an n x d temporary."""
+
+    def test_sample_sphere_dataset(self):
+        w_star = unit(100)
+        tracemalloc.start()
+        try:
+            X, _ = sample_sphere_dataset(100, 8192, w_star, 0.2, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * X.nbytes
+
+    def test_train_logistic(self):
+        tracemalloc.start()
+        try:
+            X, y = sample_sphere_dataset(100, 8192, unit(100), 0.2, np.random.default_rng(0))
+            tracemalloc.reset_peak()
+            train_logistic(X, y, iters=2)
+            peak = tracemalloc.get_traced_memory()[1]  # X and y included
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * X.nbytes
 
 
 class TestGenerateFromModel:
