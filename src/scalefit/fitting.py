@@ -11,7 +11,9 @@ coefficients solved exactly by least squares and theta one scalar in [0, hi]:
 M2 is M4 without the alpha column and M1 is M2 at eps_inf = 0; a negative
 alpha is projected to 0.  Z is factored once per fit, or per solve for M3.
 The loss is then a function of theta alone (variable projection, Golub &
-Pereyra 1973).  By default (cfg None) theta is searched exactly (_profile).
+Pereyra 1973).  By default (cfg None) theta is searched exactly (_profile):
+on a grid, then by Brent's method between the best point's neighbours, and
+a fit's iterations are the grid points plus the scalar solves of that method.
 A FitConfig selects the paper's recipe: each outer iteration solves the
 coefficients, then takes one clamped gradient step on theta, 1e-7 by default,
 until the loss decrease falls below convergence_tol or max_outer_iters is
@@ -33,7 +35,7 @@ EPS_INF_MARGIN = 1e-6  # eps_inf is clamped to [0, (1 - EPS_INF_MARGIN) * min ep
 EPS_INF_GRID = 64  # linear grid points on [0, hi], plus EPS_INF_TOP geometric ones
 EPS_INF_TOP = 32  # toward hi, where basins narrow with min eps - eps_inf
 GAMMA_GRID = np.concatenate([[0.0], np.geomspace(1e-8, 1e2, 200)])
-GOLDEN_STEPS = 60  # shrink the bracket by 0.618^60, about 3e-13
+BRENT_XTOL = 1e-9  # refine theta to within BRENT_XTOL * (|theta| + bracket / 100)
 LOG_BETA_MAX = np.log(np.finfo(float).max)  # exp(log beta) overflows from here
 
 
@@ -301,12 +303,15 @@ def _descend(problem: _Separable, init, cfg):
 def _profile(problem: _Separable, thetas):
     """Exact outer search (the default fit): problem.losses over the grid
     thetas, widened by decades while an unbounded theta's best is the top end,
-    then GOLDEN_STEPS golden-section steps between the best grid point's
-    neighbours, keeping the grid point if it is lower.  A theta whose design is
-    degenerate or whose beta leaves float range scores inf, and
-    DegenerateDesignError is raised if every grid point does.
+    then Brent's bounded minimisation (Brent 1973, ch. 5) between the best grid
+    point's neighbours, started from that point: parabolic steps, or golden
+    section where a parabola fails or meets an infinite loss, until the best
+    point is within BRENT_XTOL * (|theta| + bracket width / 100) of the
+    minimum.  A theta whose design is degenerate or whose beta leaves float
+    range scores inf, and DegenerateDesignError is raised if every grid point
+    does.
 
-    Returns (theta, coeffs, loss, grid points + GOLDEN_STEPS, True).
+    Returns (theta, coeffs, loss, grid points + scalar solves, True).
     """
     losses = problem.losses(thetas)
     while (problem.hi == np.inf and np.argmin(losses) == len(thetas) - 1
@@ -321,26 +326,48 @@ def _profile(problem: _Separable, thetas):
         try:
             coeffs, _, value = problem.solve(theta)
         except DegenerateDesignError:
-            return np.inf
-        return value if _positive_beta(coeffs[0]) else np.inf
+            return np.inf, None
+        return (value if _positive_beta(coeffs[0]) else np.inf), coeffs
 
     k = int(np.argmin(losses))
-    a, b = thetas[max(k - 1, 0)], thetas[min(k + 1, len(thetas) - 1)]
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = loss(c), loss(d)
-    for _ in range(GOLDEN_STEPS):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = loss(c)
+    a, x, b = (float(thetas[i]) for i in (max(k - 1, 0), k, min(k + 1, len(thetas) - 1)))
+    abs_tol = BRENT_XTOL * (b - a) / 100
+    fx, coeffs = loss(x)
+    w = v = x  # the second and third best points
+    fw = fv = fx
+    d = e = 0.0  # this step and the one before last
+    solves = 1
+    while True:
+        mid, tol = (a + b) / 2, BRENT_XTOL * abs(x) + abs_tol
+        if abs(x - mid) <= 2 * tol - (b - a) / 2:
+            break
+        p = q = 0.0
+        if abs(e) > tol and math.isfinite(fx + fw + fv):  # a parabola through x, w, v
+            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+            p, q = (x - v) * q - (x - w) * r, 2 * (q - r)
+            p, q = (-p, q) if q > 0 else (p, -q)
+        if abs(p) < abs(q * e / 2) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q
+            if min(x + d - a, b - x - d) < 2 * tol:  # too near an end: tol inward
+                d = math.copysign(tol, mid - x)
+        else:  # golden section into the larger part
+            e = (a if x >= mid else b) - x
+            d = (3 - math.sqrt(5)) / 2 * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu, cu = loss(u)
+        solves += 1
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx, coeffs = w, fw, x, fx, u, fu, cu
         else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = loss(d)
-    theta = float(min(c if fc <= fd else d, thetas[k], key=loss))
-    coeffs, _, best = problem.solve(theta)
-    return theta, coeffs, best, len(thetas) + GOLDEN_STEPS, True
+            a, b = (a, u) if u >= x else (u, b)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v in (x, w):
+                v, fv = u, fu
+    if coeffs is None:  # every theta tried, the grid's best too, is degenerate
+        raise DegenerateDesignError("degenerate design matrix")
+    return x, coeffs, fx, len(thetas) + solves, True
 
 
 def _positive_beta(b0):
@@ -394,8 +421,9 @@ def fit_m3(curve: LearningCurve, cfg: FitConfig | None = None) -> FitResult:
     """Fit eps = beta * (1/x + gamma)^c.
 
     Given gamma, (log beta, c) is the least-squares fit of log eps on
-    (1, log(1/x + gamma)); gamma >= 0 is searched from GAMMA_GRID, or under a
-    FitConfig takes gradient steps with dL/dgamma = mean(-2 r_i c / (1/x_i + gamma)).
+    (1, log(1/x + gamma)); gamma >= 0 is searched from GAMMA_GRID, then by
+    Brent's method, or under a FitConfig takes gradient steps with
+    dL/dgamma = mean(-2 r_i c / (1/x_i + gamma)).
     """
     _require_points(curve, 3, "M3")
     problem = _gamma_problem(curve)
@@ -411,9 +439,10 @@ def fit_m4(curve: LearningCurve, cfg: FitConfig | None = None) -> FitResult:
     least-squares fit of log(eps - eps_inf) on (log(eps0 - eps), 1, log x);
     a negative alpha is projected to zero by re-solving with the alpha
     feature dropped.  eps_inf in [0, (1 - EPS_INF_MARGIN) * min eps] is searched
-    from EPS_INF_GRID + EPS_INF_TOP points, or under a FitConfig takes steps with
-    dL/deps_inf = mean(-2 r_i / (eps_i - eps_inf)).  The no-alpha ablation is
-    not fit here: with alpha = 0 this is fit_m2, whose fit evaluation.fit_models reports.
+    from EPS_INF_GRID + EPS_INF_TOP points, then by Brent's method, or under a
+    FitConfig takes steps with dL/deps_inf = mean(-2 r_i / (eps_i - eps_inf)).
+    The no-alpha ablation is not fit here: with alpha = 0 this is fit_m2, whose
+    fit evaluation.fit_models reports.
     """
     _require_points(curve, 4, "M4")
     (beta, c, e_inf, alpha), *rest = _fit_eps_inf(curve, cfg, alpha=True)

@@ -4,11 +4,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import grid_fit_m2, grid_fit_m3, grid_fit_m4, relerr
-from strategies import curves
+from strategies import curves, small_alpha_m4_curves, top_gamma_m3_curves
 from scalefit.curve import LearningCurve, split_for_extrapolation
 from scalefit.evaluation import ABLATION_NAME, fit_models
 from scalefit.fitting import (
+    EPS_INF_GRID,
     EPS_INF_MARGIN,
+    EPS_INF_TOP,
+    GAMMA_GRID,
     DegenerateDesignError,
     FitConfig,
     FitError,
@@ -405,9 +408,10 @@ class TestFitM4:
 
 
 class TestProfileSolve:
-    """The default fit (cfg None): a grid over eps_inf or gamma, then golden
-    section, reaching the optimum where the lr-1e-7 descent stalls and FAST
-    stops at a local minimum."""
+    """The default fit (cfg None): a grid over eps_inf or gamma, then Brent's
+    method between the best grid point's neighbours, reaching the optimum where
+    the lr-1e-7 descent stalls and FAST stops at a local minimum.  iterations
+    counts the grid points and each scalar solve of the refinement."""
 
     XS = np.geomspace(1, 4096, 12)
 
@@ -454,6 +458,66 @@ class TestProfileSolve:
         with pytest.raises(DegenerateDesignError, match="degenerate design .* every grid point"):
             fit_m3(curve)
 
+    def test_iterations_count_the_grid_and_each_solve(self, monkeypatch):
+        solves = []
+        solve = _Separable.solve
+
+        def counted(problem, theta):
+            solves.append(theta)
+            return solve(problem, theta)
+
+        monkeypatch.setattr(_Separable, "solve", counted)
+        rng = np.random.default_rng(14)
+        m4 = generate_from_model(M4Params(1.0, 0.05, 0.5, 0.3, -0.4), self.XS, 0.02, rng)
+        # a true gamma of 1e3 above the grid's top 1e2: the grid is widened once
+        m3 = generate_from_model(M3Params(1.0, 0.4, 1e3), np.geomspace(1e-6, 0.1, 12),
+                                 0.02, rng, eps0=1e5)
+        for fit, curve, grid in ((fit_m2, m4, EPS_INF_GRID + EPS_INF_TOP),
+                                 (fit_m4, m4, EPS_INF_GRID + EPS_INF_TOP),
+                                 (fit_m3, m4, len(GAMMA_GRID)),
+                                 (fit_m3, m3, len(GAMMA_GRID) + 50)):
+            solves.clear()
+            r = fit(curve)
+            assert 0 < len(solves) < 60, fit.__name__
+            assert r.iterations == grid + len(solves), fit.__name__
+
+    # each fitter with the fields it fits besides beta and c
+    FORMS = ((fit_m1, ()), (fit_m2, ("eps_inf",)), (fit_m4, ("eps_inf", "alpha")))
+
+    @pytest.mark.parametrize("k", [3.7, 0.4])
+    @pytest.mark.parametrize("scaled", ["x", "eps"])
+    def test_scale_equivariance(self, k, scaled):
+        """x -> kx keeps c, eps_inf and alpha and scales beta by k^-c; eps,
+        eps0 -> k eps, k eps0 scales eps_inf by k and beta by k^(1 - alpha)."""
+        rng = np.random.default_rng(7)
+        xs = np.geomspace(1, 4096, 60)
+        for i in range(40):
+            true = (M4Params(1.0, rng.uniform(0, 0.1), rng.uniform(0, 1),
+                             rng.uniform(0.2, 0.5), rng.uniform(-0.6, -0.2)) if i % 2 else
+                    M2Params(rng.uniform(0, 0.1), rng.uniform(0.2, 0.5), rng.uniform(-0.6, -0.2)))
+            curve = generate_from_model(true, xs, 0.02, rng, eps0=1.0)
+            if scaled == "x":
+                other = curve_of(k * curve.x_array, curve.eps)
+            else:
+                other = curve_of(curve.xs, k * curve.eps_array, eps0=k)
+            for fit, fields in self.FORMS:
+                p, q = fit(curve).params, fit(other).params
+                alpha = getattr(p, "alpha", 0.0)
+                want = {"c": p.c, "alpha": alpha}
+                if scaled == "x":
+                    want.update(beta=p.beta * k ** -p.c, eps_inf=getattr(p, "eps_inf", 0.0))
+                else:
+                    want.update(beta=p.beta * k ** (1 - alpha),
+                                eps_inf=k * getattr(p, "eps_inf", 0.0))
+                # the loss is flat to rounding within about sqrt(machine eps)
+                # * min eps of its best eps_inf (Brent 1973, ch. 5), which
+                # dominates for an eps_inf near or at its 0 bound
+                slack = {"eps_inf": 1e-7 * min(other.eps)}
+                for name in ("c", "beta", *fields):
+                    got = getattr(q, name)
+                    assert abs(got - want[name]) <= 1e-5 * abs(want[name]) + slack.get(name, 0.0), \
+                        (i, fit.__name__, name)
+
     @staticmethod
     def _loss(curve, p):
         """The square-log loss of oracle params, computed apart from loss_*."""
@@ -465,7 +529,18 @@ class TestProfileSolve:
                  - np.log(p.beta) - p.c * np.log(x))
         return float(np.mean(r * r))
 
-    @given(curves())
+    @staticmethod
+    def _m3_oracle(curve):
+        """grid_fit_m3 on its own gammas and 300 more per decade from 10 up to
+        100 / min x, past top_gamma_m3_curves' truths.  Not to a fixed top: at
+        gamma 1e8 and x >= 1, log(1/x + gamma) is constant to rounding, and the
+        oracle's singular normal equations would skip the M3 check."""
+        decades = np.log10(10 / curve.x_array.min())
+        extra = np.geomspace(10.0, 100 / curve.x_array.min(), max(int(300 * decades), 1))
+        return grid_fit_m3(curve, np.concatenate([[0.0], np.geomspace(1e-8, 10.0, 4000),
+                                                  extra[1:]]))
+
+    @given(st.one_of(curves(), small_alpha_m4_curves(), top_gamma_m3_curves()))
     # M2's and M4's best eps_inf within 1/64 of min eps, in a basin narrower
     # than the linear grid's spacing
     @example(curve_of((2.3050503407460945, 3.0981862824805235, 44.65483660538728,
@@ -475,9 +550,10 @@ class TestProfileSolve:
     @example(curve_of((1.0, 82491.94191178266, 842155.2977604007),
                       (336.08646990579194, 385.9551220560279, 480.43231887485507),
                       eps0=488.2115483547983))
-    @settings(max_examples=25, deadline=None)
+    # 25 from each strategy on average
+    @settings(max_examples=75, deadline=None)
     def test_no_higher_loss_than_the_grid_oracles(self, curve):
-        for fit, oracle, points in ((fit_m2, grid_fit_m2, 3), (fit_m3, grid_fit_m3, 3),
+        for fit, oracle, points in ((fit_m2, grid_fit_m2, 3), (fit_m3, self._m3_oracle, 3),
                                     (fit_m4, grid_fit_m4, 4)):
             if len(curve) < points:
                 continue
