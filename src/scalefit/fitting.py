@@ -9,15 +9,16 @@ coefficients solved exactly by least squares and theta one scalar in [0, hi]:
     M3  log eps            ~ log beta + log(1/x + gamma) . c                gamma
 
 M2 is M4 without the alpha column and M1 is M2 at eps_inf = 0; a negative
-alpha is projected to 0.  Z is factored once per fit, or per solve for M3.
-The loss is then a function of theta alone (variable projection, Golub &
-Pereyra 1973).  By default (cfg None) theta is searched exactly (_profile):
-on a grid, then by Brent's method between the best point's neighbours, and
-a fit's iterations are the grid points plus the scalar solves of that method.
-A FitConfig selects the paper's recipe: each outer iteration solves the
-coefficients, then takes one clamped gradient step on theta, 1e-7 by default,
-until the loss decrease falls below convergence_tol or max_outer_iters is
-reached.  loss_* and dloss_* evaluate the same residual as the fitters.
+alpha is projected to 0.  The loss is then a function of theta alone
+(variable projection, Golub & Pereyra 1973), and each model has one solve,
+at one theta or an array of them, which the grid, Brent's method and the
+descent all call.  By default (cfg None) theta is searched exactly
+(_profile): on a grid, then by Brent's method between the best point's
+neighbours.  A FitConfig selects the paper's recipe: each outer iteration
+solves the coefficients, then takes one clamped gradient step on theta, 1e-7
+by default, until the loss decrease falls below convergence_tol or
+max_outer_iters is reached.  loss_* and dloss_* use the residual at given
+parameters.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def factor_design(features):
     """Factor the design [1, Z] of an (n, p) feature matrix Z once, for each
     solve_loglinear on it: centre Z's columns (the implied intercept), then
     orthonormalise them by modified Gram-Schmidt (Bjorck 1967), giving
-    (Z, mean, Q, R) with Z - mean = Q.T R and R[j] the column j of R.  Raises
+    (mean, Q, R) with Z - mean = Q.T R and R[j] the column j of R.  Raises
     DegenerateDesignError on a NaN or infinite feature, or on a constant
     column or one in the others' span."""
     Z = np.asarray(features, dtype=float)
@@ -118,20 +119,21 @@ def factor_design(features):
         if R[j][j] <= n * math.ulp(norm_z):  # within rounding of the span before it
             raise DegenerateDesignError("degenerate design matrix")
         q /= R[j][j]
-    return Z, mean, Q, R
+    return mean, Q, R
 
 
 def solve_loglinear(targets, factor):
-    """Least-squares fit of targets ~ b0 + Z . b on factor = factor_design(Z):
-    the coefficients (b0, *b), intercept first, and the residual vector."""
-    _, mean, Q, R = factor
+    """Least-squares fit of (n,) targets, or of each column of (n, k) ones, to
+    b0 + Z . b on factor = factor_design(Z): the coefficients (b0, *b),
+    intercept first, and the residuals, shaped as the targets."""
+    mean, Q, R = factor
     y = np.asarray(targets, dtype=float)
-    y_mean = float(y.sum()) / len(y)
+    y_mean = y.sum(axis=0) / len(y)
     r = y - y_mean
     b = []
     for q in Q:  # project out each column in turn
-        b.append(float(q @ r))
-        r -= b[-1] * q
+        b.append(q @ r)
+        r -= np.multiply.outer(q, b[-1])
     for j in reversed(range(len(b))):  # back-substitute R b = Q (y - y_mean)
         b[j] = (b[j] - sum(R[k][j] * b[k] for k in range(j + 1, len(b)))) / R[j][j]
     return (y_mean - sum(m * bj for m, bj in zip(mean, b)), *b), r
@@ -139,97 +141,90 @@ def solve_loglinear(targets, factor):
 
 @dataclass(frozen=True)
 class _Separable:
-    """One model as y(theta) ~ b0 + Z(theta) . b, theta in [0, hi]; factor(theta)
-    is factor_design(Z(theta)) and dr(theta, b) is d(y - b0 - Z . b)/dtheta at
-    fixed (b0, *b).  reduced is the factor of Z without its last (alpha)
-    column, for the re-solve when alpha < 0.  losses(thetas) is the loss at
-    each theta of an array, in one batch; for M3, inf where the design is
-    degenerate or beta leaves float range."""
+    """One model as y(theta) ~ b0 + Z(theta) . b, theta in [0, hi].  solve(thetas)
+    is the least-squares fit at one theta, or at each of an array of them, one
+    column each: the coefficients (b0, *b), the residuals, and the loss, inf
+    where the design is degenerate.  dr(theta, b) is d(y - b0 - Z . b)/dtheta."""
 
-    target: Callable
-    factor: Callable
+    solve: Callable
     dr: Callable
     hi: float = np.inf
-    reduced: tuple | None = None
-    losses: Callable | None = None
-
-    def solve(self, theta):
-        """Least-squares coefficients at theta, with residuals and loss."""
-        y = self.target(theta)
-        b, r = solve_loglinear(y, self.factor(theta))
-        if self.reduced is not None and b[-1] < 0:
-            b, r = solve_loglinear(y, self.reduced)
-            b = (*b, 0.0)
-        return b, r, float(r @ r) / len(r)
-
-    def grad(self, theta, b, r):
-        return 2.0 * float(r @ self.dr(theta, b)) / len(r)
 
 
 def _eps_inf_problem(curve, eps0, alpha, hi=np.inf) -> _Separable:
-    """M4 (alpha=True) or M2 (alpha=False); theta = eps_inf."""
+    """M4 (alpha=True) or M2 (alpha=False); theta = eps_inf.  Z is factored
+    once; columns whose alpha is negative are re-solved without its column."""
     eps = curve.eps_array
     logx = np.log(curve.x_array)[:, None]
     base = factor_design(logx)
     full = factor_design(np.column_stack([logx, np.log(eps0 - eps)])) if alpha else base
 
-    def losses(thetas):  # Z is fixed: every centred target projected through Q at once
-        Y = np.log(np.subtract.outer(eps, thetas))
-        Y -= Y.sum(axis=0) / len(eps)
-        B = full[2] @ Y
-        R = Y - full[2].T @ B
-        neg = alpha & (B[-1] < 0)  # alpha has its projection's sign, as R[-1][-1] > 0
-        R[:, neg] = Y[:, neg] - base[2].T @ (base[2] @ Y[:, neg])
-        return (R * R).sum(axis=0) / len(eps)
+    def solve(e_inf):
+        y = np.log(np.subtract.outer(eps, e_inf))
+        b, r = solve_loglinear(y, full)
+        if alpha:
+            neg = b[-1] < 0
+            if all(neg.flat):
+                b, r = solve_loglinear(y, base)
+                b = (*b, 0.0)
+            elif any(neg.flat):  # some columns of a batch
+                b2, r[:, neg] = solve_loglinear(y[:, neg], base)
+                for bj, new in zip(b, (*b2, 0.0)):
+                    bj[neg] = new
+        return b, r, np.vecdot(r, r, axis=0) / len(r)
 
-    return _Separable(target=lambda e: np.log(eps - e), factor=lambda e: full,
-                      dr=lambda e, b: -1.0 / (eps - e), hi=hi,
-                      reduced=base if alpha else None, losses=losses)
+    return _Separable(solve=solve, dr=lambda e, b: -1.0 / (eps - e), hi=hi)
 
 
-def _gamma_problem(curve) -> _Separable:
-    """M3; theta = gamma.  A subnormal x whose 1/x overflows is a
-    DegenerateDesignError."""
+def _inverse_x(curve):
+    """1/x, or DegenerateDesignError where a subnormal x's overflows."""
     with np.errstate(over="ignore"):
         inv_x = 1.0 / curve.x_array
     if not np.all(inv_x < np.inf):
         raise DegenerateDesignError("non-finite design feature")
+    return inv_x
+
+
+def _gamma_problem(curve) -> _Separable:
+    """M3; theta = gamma.  factor_design and solve_loglinear on the column
+    log(1/x + gamma), in closed form."""
+    inv_x = _inverse_x(curve)
     y = np.log(curve.eps_array)
-    n = len(y)
-    y_mean = y.sum() / n
+    n, y_mean = len(y), y.sum() / len(y)
     yc = y - y_mean
 
-    def losses(gammas):  # the 2x2 fit in closed form, one column per gamma
+    def solve(gammas):
         Z = np.log(np.add.outer(inv_x, gammas))
-        norm, mean = np.sqrt((Z * Z).sum(axis=0)), Z.sum(axis=0) / n
+        norm, mean = np.sqrt(np.vecdot(Z, Z, axis=0)), Z.sum(axis=0) / n
         Z -= mean
-        s = np.sqrt((Z * Z).sum(axis=0))
+        s = np.sqrt(np.vecdot(Z, Z, axis=0))
         ok = s > n * np.spacing(norm)  # factor_design's rank test
-        s[~ok] = 1.0
-        b = yc @ Z / s  # the projection of yc on each unit column
-        r = yc[:, None] - Z / s * b
-        b0 = y_mean - b / s * mean
-        ok &= _positive_beta(b0)
-        return np.where(ok, (r * r).sum(axis=0) / n, np.inf)
+        s = s + ~ok  # 1 where it fails, for finite coefficients there
+        Z /= s  # the unit column
+        b = yc @ Z
+        r, c = (yc - (Z * b).T).T, b / s
+        loss = np.vecdot(r, r, axis=0) / n
+        return (y_mean - mean * c, c), r, loss if all(ok.flat) else np.where(ok, loss, np.inf)
 
-    return _Separable(target=lambda g: y,
-                      factor=lambda g: factor_design(np.log(inv_x + g)[:, None]),
-                      dr=lambda g, b: -b[1] / (inv_x + g), losses=losses)
+    return _Separable(solve=solve, dr=lambda g, b: -b[1] / (inv_x + g))
 
 
 def _loss_and_grad(curve, p, grad=True):
-    """(loss, dL/dtheta) at M3 (theta = gamma) or M4 (eps_inf) params; the
-    loss alone, without the gradient's 1/(eps - eps_inf), if not grad."""
-    if isinstance(p, M3Params):
-        problem, theta, b = _gamma_problem(curve), p.gamma, (np.log(p.beta), p.c)
-    elif np.any(curve.eps_array <= p.eps_inf):
+    """(loss, dL/dtheta) from the residual at M3 (theta = gamma) or M4
+    (eps_inf) params, whatever the design's rank; the loss alone, without
+    the gradient's 1/(eps - eps_inf), if not grad."""
+    eps = curve.eps_array
+    if isinstance(p, M3Params):  # dr/dgamma = -c / (1/x + gamma)
+        num, den = -p.c, _inverse_x(curve) + p.gamma
+        r = np.log(eps) - np.log(p.beta) - p.c * np.log(den)
+    elif np.any(eps <= p.eps_inf):
         raise FitError("eps_inf exceeds observed loss")
-    else:
-        problem = _eps_inf_problem(curve, p.eps0, alpha=True)
-        theta, b = p.eps_inf, (np.log(p.beta), p.c, p.alpha)
-    r = problem.target(theta) - b[0] - problem.factor(theta)[0] @ np.asarray(b[1:])
+    else:  # dr/deps_inf = -1 / (eps - eps_inf)
+        num, den = -1.0, eps - p.eps_inf
+        r = (np.log(den) - p.alpha * np.log(p.eps0 - eps) - np.log(p.beta)
+             - p.c * np.log(curve.x_array))
     loss = float(r @ r) / len(r)
-    return (loss, problem.grad(theta, b, r)) if grad else loss
+    return (loss, 2.0 * float(r @ (num / den)) / len(r)) if grad else loss
 
 
 def loss_m4(curve: LearningCurve, p: M4Params) -> float:
@@ -268,28 +263,33 @@ def _require_points(curve, n, model):
 
 @np.errstate(over="raise", divide="raise", invalid="raise")  # 1/(eps - eps_inf) can overflow
 def _descend(problem: _Separable, init, cfg):
-    """Outer loop: exact least-squares coefficients, then one gradient step
-    on theta, clamped to [0, problem.hi].  A non-finite step raises FitError,
-    a numpy overflow, division by zero or invalid value FloatingPointError.
+    """Outer loop: exact least-squares coefficients, then one gradient step on
+    theta, clamped to [0, problem.hi].  A degenerate design raises
+    DegenerateDesignError, a non-finite step FitError, and a numpy overflow,
+    division by zero or invalid value FloatingPointError.
 
     Returns (theta, coeffs, loss, iterations, converged).
     """
+    def solve(theta):
+        coeffs, resid, loss = problem.solve(theta)
+        if not loss < np.inf:
+            raise DegenerateDesignError("degenerate design matrix")
+        return coeffs, resid, float(loss)
+
     theta = min(max(init, 0.0), problem.hi)
     rate = cfg.effective_rate
     prev_loss = np.inf
-    coeffs, resid, loss = problem.solve(theta)
+    coeffs, resid, loss = solve(theta)
     for k in range(1, cfg.max_outer_iters + 1):
-        if not np.isfinite(loss):
-            raise FitError("non-finite loss during coordinate descent")
         if prev_loss - loss < cfg.convergence_tol:  # a rise stops too, unconverged
             return theta, coeffs, loss, k, loss <= prev_loss
         prev_loss = loss
-        step = rate * problem.grad(theta, coeffs, resid)
+        step = rate * (2.0 * float(resid @ problem.dr(theta, coeffs)) / len(resid))
         for _ in range(40 if cfg.backtracking else 1):
             candidate = min(max(theta - step, 0.0), problem.hi)
             if not math.isfinite(candidate):
                 raise FitError("non-finite step during coordinate descent")
-            c2, r2, l2 = problem.solve(candidate)
+            c2, r2, l2 = solve(candidate)
             if l2 <= loss or not cfg.backtracking:
                 break
             step *= 0.5
@@ -301,40 +301,38 @@ def _descend(problem: _Separable, init, cfg):
 
 @np.errstate(over="raise", divide="raise", invalid="raise")
 def _profile(problem: _Separable, thetas):
-    """Exact outer search (the default fit): problem.losses over the grid
-    thetas, widened by decades while an unbounded theta's best is the top end,
-    then Brent's bounded minimisation (Brent 1973, ch. 5) between the best grid
+    """Exact outer search (the default fit): the loss over the grid thetas,
+    widened by decades while an unbounded theta's best is the top end, then
+    Brent's bounded minimisation (Brent 1973, ch. 5) between the best grid
     point's neighbours, started from that point: parabolic steps, or golden
     section where a parabola fails or meets an infinite loss, until the best
     point is within BRENT_XTOL * (|theta| + bracket width / 100) of the
-    minimum.  A theta whose design is degenerate or whose beta leaves float
-    range scores inf, and DegenerateDesignError is raised if every grid point
-    does.
+    minimum.  score solves the grid, each widening and each of Brent's points
+    in one call; a degenerate design or a beta out of float range scores inf,
+    and DegenerateDesignError is raised if every grid point does.
 
     Returns (theta, coeffs, loss, grid points + scalar solves, True).
     """
-    losses = problem.losses(thetas)
+    def score(thetas):
+        coeffs, _, losses = problem.solve(thetas)
+        ok = _positive_beta(coeffs[0])
+        return (losses if all(ok.flat) else np.where(ok, losses, np.inf)), coeffs
+
+    losses = score(thetas)[0]
     while (problem.hi == np.inf and np.argmin(losses) == len(thetas) - 1
            and thetas[-1] < 1e290):  # and before the grid overflows
         wider = thetas[-1] * np.geomspace(1.0, 1e10, 51)[1:]
-        thetas, losses = np.append(thetas, wider), np.append(losses, problem.losses(wider))
+        thetas, losses = np.append(thetas, wider), np.append(losses, score(wider)[0])
     if not np.any(losses < np.inf):
         raise DegenerateDesignError("degenerate design or beta out of float range "
                                     "at every grid point")
 
-    def loss(theta):
-        try:
-            coeffs, _, value = problem.solve(theta)
-        except DegenerateDesignError:
-            return np.inf, None
-        return (value if _positive_beta(coeffs[0]) else np.inf), coeffs
-
     k = int(np.argmin(losses))
     a, x, b = (float(thetas[i]) for i in (max(k - 1, 0), k, min(k + 1, len(thetas) - 1)))
     abs_tol = BRENT_XTOL * (b - a) / 100
-    fx, coeffs = loss(x)
+    fx, coeffs = score(x)
     w = v = x  # the second and third best points
-    fw = fv = fx
+    fx = fw = fv = float(fx)
     d = e = 0.0  # this step and the one before last
     solves = 1
     while True:
@@ -354,8 +352,8 @@ def _profile(problem: _Separable, thetas):
             e = (a if x >= mid else b) - x
             d = (3 - math.sqrt(5)) / 2 * e
         u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu, cu = loss(u)
-        solves += 1
+        fu, cu = score(u)
+        fu, solves = float(fu), solves + 1
         if fu <= fx:
             a, b = (x, b) if u >= x else (a, x)
             v, fv, w, fw, x, fx, coeffs = w, fw, x, fx, u, fu, cu
@@ -365,8 +363,8 @@ def _profile(problem: _Separable, thetas):
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v in (x, w):
                 v, fv = u, fu
-    if coeffs is None:  # every theta tried, the grid's best too, is degenerate
-        raise DegenerateDesignError("degenerate design matrix")
+    if fx == np.inf:  # every theta tried, the grid's best too, scored inf alone
+        raise DegenerateDesignError("degenerate design or beta out of float range")
     return x, coeffs, fx, len(thetas) + solves, True
 
 
@@ -389,15 +387,15 @@ def fit_m1(curve: LearningCurve) -> FitResult:
     """Closed-form least squares of log eps on (1, log x)."""
     _require_points(curve, 2, "M1")
     (b0, c), _, loss = _eps_inf_problem(curve, curve.eps0, alpha=False).solve(0.0)
-    return FitResult(M1Params(*_finite(b0, c)), loss, 1, True)
+    return FitResult(M1Params(*_finite(b0, c)), float(loss), 1, True)
 
 
 def _fit_eps_inf(curve, cfg, alpha):
     """M4, or M2 when alpha is False: ((beta, c, eps_inf, alpha), loss,
-    iterations, converged)."""
+    iterations, converged), with eps_inf < min eps even if that is subnormal."""
     eps_min = float(curve.eps_array.min())
-    problem = _eps_inf_problem(curve, curve.eps0, alpha,
-                               hi=(1.0 - EPS_INF_MARGIN) * eps_min)
+    hi = min((1.0 - EPS_INF_MARGIN) * eps_min, math.nextafter(eps_min, 0.0))
+    problem = _eps_inf_problem(curve, curve.eps0, alpha, hi=hi)
     if cfg is not None:
         e_inf, b, *rest = _descend(problem, cfg.eps_inf_init_fraction * eps_min, cfg)
     else:

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from configs import FAST
 import conftest
 from oracles import grid_fit_m2, grid_fit_m3, grid_fit_m4, relerr
 from scalefit.curve import CurveSplit, apply_cutoff, split_for_extrapolation
@@ -42,9 +43,6 @@ from scalefit.models import (
     predict_m4,
 )
 from scalefit.synthetic import SphereTaskSpec, generate_from_model, generate_sphere_curve
-
-FAST = FitConfig(rate_multiplier=1e6, convergence_tol=1e-13,
-                 backtracking=True, max_outer_iters=5000)
 
 XS12 = np.geomspace(1, 4096, 12)
 

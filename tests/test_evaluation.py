@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from configs import FAST
 from strategies import curves
 from scalefit import evaluation, fitting
 from scalefit.curve import (
@@ -30,9 +31,6 @@ from scalefit.evaluation import (
 from scalefit.fitting import FitConfig
 from scalefit.models import M2Params, M4Params
 from scalefit.synthetic import generate_from_model
-
-FAST = FitConfig(rate_multiplier=1e6, convergence_tol=1e-13,
-                 backtracking=True, max_outer_iters=5000)
 
 # steep train sides whose fits extrapolate past the largest float at the holdout
 OVERFLOWING = (

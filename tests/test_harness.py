@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from configs import FAST
 from scalefit.curve import LearningCurve, split_for_extrapolation
-from scalefit.fitting import FitConfig, fit_m2
+from scalefit.fitting import fit_m2
 from scalefit.harness import (
     BenchmarkRun,
     TaskFormatError,
@@ -19,9 +20,6 @@ from scalefit.harness import (
 from scalefit.evaluation import ExtrapolationReport, TieRule, winners_under
 from scalefit.models import M2Params
 from scalefit.synthetic import generate_from_model
-
-FAST = FitConfig(rate_multiplier=1e6, convergence_tol=1e-13,
-                 backtracking=True, max_outer_iters=5000)
 
 
 def doc(**overrides):
