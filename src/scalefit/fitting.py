@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -130,10 +131,14 @@ def solve_loglinear(targets, factor):
     y = np.asarray(targets, dtype=float)
     y_mean = y.sum(axis=0) / len(y)
     r = y - y_mean
-    b = []
-    for q in Q:  # project out each column in turn
-        b.append(q @ r)
-        r -= np.multiply.outer(q, b[-1])
+    if r.ndim > 1:  # a batch: Q's rows are orthonormal, so all at once, by BLAS
+        b = list(B := Q @ r)
+        r -= Q.T @ B
+    else:
+        b = []
+        for q in Q:  # project out each column in turn
+            b.append(q @ r)
+            r -= b[-1] * q
     for j in reversed(range(len(b))):  # back-substitute R b = Q (y - y_mean)
         b[j] = (b[j] - sum(R[k][j] * b[k] for k in range(j + 1, len(b)))) / R[j][j]
     return (y_mean - sum(m * bj for m, bj in zip(mean, b)), *b), r
@@ -149,6 +154,11 @@ class _Separable:
     solve: Callable
     dr: Callable
     hi: float = np.inf
+
+
+def _dr_deps_inf(eps, e_inf, b=None):
+    """d(log(eps - eps_inf) - b0 - Z . b)/deps_inf, the M2/M4 dr."""
+    return -1.0 / (eps - e_inf)
 
 
 def _eps_inf_problem(curve, eps0, alpha, hi=np.inf) -> _Separable:
@@ -173,7 +183,7 @@ def _eps_inf_problem(curve, eps0, alpha, hi=np.inf) -> _Separable:
                     bj[neg] = new
         return b, r, np.vecdot(r, r, axis=0) / len(r)
 
-    return _Separable(solve=solve, dr=lambda e, b: -1.0 / (eps - e), hi=hi)
+    return _Separable(solve=solve, dr=partial(_dr_deps_inf, eps), hi=hi)
 
 
 def _inverse_x(curve):
@@ -214,17 +224,17 @@ def _loss_and_grad(curve, p, grad=True):
     (eps_inf) params, whatever the design's rank; the loss alone, without
     the gradient's 1/(eps - eps_inf), if not grad."""
     eps = curve.eps_array
-    if isinstance(p, M3Params):  # dr/dgamma = -c / (1/x + gamma)
-        num, den = -p.c, _inverse_x(curve) + p.gamma
-        r = np.log(eps) - np.log(p.beta) - p.c * np.log(den)
+    if isinstance(p, M3Params):
+        r = np.log(eps) - np.log(p.beta) - p.c * np.log(_inverse_x(curve) + p.gamma)
+        dr = partial(_gamma_problem(curve).dr, p.gamma, (None, p.c))
     elif np.any(eps <= p.eps_inf):
         raise FitError("eps_inf exceeds observed loss")
-    else:  # dr/deps_inf = -1 / (eps - eps_inf)
-        num, den = -1.0, eps - p.eps_inf
-        r = (np.log(den) - p.alpha * np.log(p.eps0 - eps) - np.log(p.beta)
+    else:
+        r = (np.log(eps - p.eps_inf) - p.alpha * np.log(p.eps0 - eps) - np.log(p.beta)
              - p.c * np.log(curve.x_array))
+        dr = partial(_dr_deps_inf, eps, p.eps_inf)
     loss = float(r @ r) / len(r)
-    return (loss, 2.0 * float(r @ (num / den)) / len(r)) if grad else loss
+    return (loss, 2.0 * float(r @ dr()) / len(r)) if grad else loss
 
 
 def loss_m4(curve: LearningCurve, p: M4Params) -> float:
@@ -307,9 +317,10 @@ def _profile(problem: _Separable, thetas):
     point's neighbours, started from that point: parabolic steps, or golden
     section where a parabola fails or meets an infinite loss, until the best
     point is within BRENT_XTOL * (|theta| + bracket width / 100) of the
-    minimum.  score solves the grid, each widening and each of Brent's points
-    in one call; a degenerate design or a beta out of float range scores inf,
-    and DegenerateDesignError is raised if every grid point does.
+    minimum.  score solves the grid, each widening and each bisection or
+    Brent point in one call; a degenerate design or a beta out of float range
+    scores inf.  _bisect_into_range adds grid points where beta leaves float
+    range, and DegenerateDesignError is raised if no grid point can be scored.
 
     Returns (theta, coeffs, loss, grid points + scalar solves, True).
     """
@@ -318,11 +329,14 @@ def _profile(problem: _Separable, thetas):
         ok = _positive_beta(coeffs[0])
         return (losses if all(ok.flat) else np.where(ok, losses, np.inf)), coeffs
 
-    losses = score(thetas)[0]
+    losses, (b0, *_) = score(thetas)
     while (problem.hi == np.inf and np.argmin(losses) == len(thetas) - 1
            and thetas[-1] < 1e290):  # and before the grid overflows
         wider = thetas[-1] * np.geomspace(1.0, 1e10, 51)[1:]
-        thetas, losses = np.append(thetas, wider), np.append(losses, score(wider)[0])
+        more, (b0_more, *_) = score(wider)
+        thetas, losses, b0 = (np.append(*z) for z in ((thetas, wider), (losses, more),
+                                                      (b0, b0_more)))
+    thetas, losses, solves = _bisect_into_range(score, thetas, losses, b0)
     if not np.any(losses < np.inf):
         raise DegenerateDesignError("degenerate design or beta out of float range "
                                     "at every grid point")
@@ -334,7 +348,7 @@ def _profile(problem: _Separable, thetas):
     w = v = x  # the second and third best points
     fx = fw = fv = float(fx)
     d = e = 0.0  # this step and the one before last
-    solves = 1
+    solves += 1
     while True:
         mid, tol = (a + b) / 2, BRENT_XTOL * abs(x) + abs_tol
         if abs(x - mid) <= 2 * tol - (b - a) / 2:
@@ -365,7 +379,32 @@ def _profile(problem: _Separable, thetas):
                 v, fv = u, fu
     if fx == np.inf:  # every theta tried, the grid's best too, scored inf alone
         raise DegenerateDesignError("degenerate design or beta out of float range")
-    return x, coeffs, fx, len(thetas) + solves, True
+    return x, coeffs, fx, solves, True
+
+
+def _bisect_into_range(score, thetas, losses, b0):
+    """The grid thetas, with losses and log betas b0, plus the point in float
+    range nearest an edge of it that 64 halvings find between each two grid
+    points where beta leaves the range and the loss falls toward it, or
+    where log beta passes from above the range to below.  Returns (thetas,
+    losses, grid points + solves)."""
+    solves, ok, high = len(thetas), _positive_beta(b0), b0 >= LOG_BETA_MAX
+    for i in np.flatnonzero((ok[:-1] != ok[1:]) | (high[:-1] != high[1:]))[::-1]:
+        edge = ok[i] != ok[i + 1]  # else log beta passes the whole range
+        j, o = (i, i - 1) if ok[i] else (i + 1, i + 2)  # the end in range, its other neighbour
+        if edge and not losses[j] < (losses[o] if 0 <= o < len(losses) else np.inf):
+            continue
+        lo, hi, kept = thetas[i], thetas[i + 1], None
+        for _ in range(64):
+            fm, (m0, *_) = score(mid := (lo + hi) / 2)
+            solves += 1
+            if _positive_beta(m0):
+                kept = mid, fm
+            side = _positive_beta(m0) if edge else m0 >= LOG_BETA_MAX
+            lo, hi = (mid, hi) if side == (ok if edge else high)[i] else (lo, mid)
+        if kept:  # inserted from the top, so each i stays valid
+            thetas, losses = np.insert(thetas, i + 1, kept[0]), np.insert(losses, i + 1, kept[1])
+    return thetas, losses, solves
 
 
 def _positive_beta(b0):
