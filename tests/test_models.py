@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from strategies import model_params, model_xs
 from scalefit.models import (
-    BISECTION_EPS_TOL,
+    M4_ROOT_TOL,
     M1Params,
     M2Params,
     M3Params,
@@ -138,9 +138,13 @@ class TestPredictM4:
         assert y[0] == math.inf and 0.1 < y[1] < 1
 
     @given(model_params(forms=(M4Params,)), model_xs())
+    @example(M4Params(1e5, 6.2, 64.0, 1e-310, -0.3), 10.0)  # (eps0 - eps)^alpha overflows
+    @example(M4Params(3.0, 0.0, 647.0, 5e-324, 0.0), 1.0)  # root below the clamp
+    @example(M4Params(1.0, 0.1, 0.5, 1e-300, -50.0), 1e300)  # beta * x^c underflows to 0
+    @example(M4Params(1.0, 0.5, 2.0, 1e40, 0.0), 1.0)  # root within an ulp of eps0
     @settings(max_examples=300, deadline=None)
     def test_inverts_the_residual(self, p, x):
-        # the bracket is the tolerance the bisection stops at, widened to one
+        # the bracket is the tolerance the root is found to, widened to one
         # ulp of the root where the interval is too narrow for that tolerance;
         # a root within half an ulp of eps_inf or eps0 rounds onto it
         assume(p.alpha > 0)
@@ -150,18 +154,61 @@ class TestPredictM4:
         width = p.eps0 - p.eps_inf
         for eps, t_k in zip(np.atleast_1d(predict(p, x)), np.atleast_1d(t)):
             assert p.eps_inf <= eps <= p.eps0
-            delta = max(BISECTION_EPS_TOL * width, np.spacing(eps))
-            assert self._g(p, eps - delta) <= t_k <= self._g(p, eps + delta)
+            delta = max(M4_ROOT_TOL * width, np.spacing(eps))
+            log_t = math.log(t_k) if t_k > 0 else -math.inf
+            assert self._log_g(p, eps - delta) <= log_t <= self._log_g(p, eps + delta)
 
     @staticmethod
-    def _g(p, eps):
-        """(eps - eps_inf) / (eps0 - eps)^alpha, 0 and inf at the ends."""
+    def _log_g(p, eps):
+        """log(eps - eps_inf) - alpha * log(eps0 - eps), -inf and inf at the
+        ends: the log of (eps - eps_inf) / (eps0 - eps)^alpha, which cannot
+        overflow."""
         if eps <= p.eps_inf:
-            return 0.0
+            return -math.inf
         if eps >= p.eps0:
             return math.inf
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            return np.float64(eps - p.eps_inf) / np.float64(p.eps0 - eps) ** p.alpha
+        return math.log(eps - p.eps_inf) - p.alpha * math.log(p.eps0 - eps)
+
+    def test_agrees_with_the_bisection(self):
+        # criterion 5's draws (seed 5, same ranges), where g does not overflow
+        rng = np.random.default_rng(5)
+        for k in range(1000):
+            eps0 = rng.uniform(0.5, 3.0)
+            eps_inf = rng.uniform(0.0, 0.5 * eps0)
+            alpha = 0.0 if k % 5 == 0 else rng.uniform(0.1, 3.0)
+            p = M4Params(eps0, eps_inf, alpha, rng.uniform(0.05, 5.0),
+                         rng.uniform(-1.0, -0.1))
+            xs = np.geomspace(1.0, 10 ** rng.uniform(2, 5), 12)
+            y = predict_m4(p, xs)
+            assert np.max(np.abs(y - _bisect_m4(p, xs))) <= M4_ROOT_TOL * (eps0 - eps_inf)
+            assert predict_m4(p, xs[-1]) == predict_m4(p, xs[-1:])[0]
+
+
+def _bisect_m4(p, x):
+    """Bisection of g in linear space to M4_ROOT_TOL, the reference for
+    predict_m4: valid only where (eps0 - eps)^alpha stays in float range."""
+    target = p.beta * np.asarray(x, dtype=float) ** p.c
+    if p.alpha == 0:
+        return p.eps_inf + target
+    t = np.atleast_1d(target)
+    width = p.eps0 - p.eps_inf
+    pad = 1e-15 * width
+    lo = np.full_like(t, p.eps_inf + pad)
+    hi = np.full_like(t, p.eps0 - pad)
+
+    def g(eps):
+        return (eps - p.eps_inf) / (p.eps0 - eps) ** p.alpha
+
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        # stop once floating point can no longer split the interval
+        stuck = (mid <= lo) | (mid >= hi)
+        if np.all(stuck) or np.max(hi - lo) < M4_ROOT_TOL * width:
+            break
+        below = g(mid) < t
+        lo = np.where(below & ~stuck, mid, lo)
+        hi = np.where(~below & ~stuck, mid, hi)
+    return np.where(t < np.inf, 0.5 * (lo + hi), np.inf).reshape(np.shape(target))
 
 
 class TestAsymptoticExcess:
