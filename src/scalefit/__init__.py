@@ -1,9 +1,10 @@
 """Scaling-law estimation from learning curves.
 
 Fits four function classes (plus a no-alpha ablation variant) to learning
-curves with square-log losses and block coordinate descent, validates them
-by extrapolation RMSE on a held-out split, and ships a synthetic
-noisy-sphere benchmark plus a task-file harness and CLI.
+curves by square-log loss, by default with an exact profile search over the
+one bounded parameter (eps_inf or gamma) and the paper's gradient descent
+on request, validates them by extrapolation RMSE on a held-out split, and
+ships a synthetic noisy-sphere benchmark plus a task-file harness and CLI.
 """
 
 from .curve import (

@@ -67,15 +67,10 @@ def _add_fit_flags(p):
     # each descent flag is a FitConfig field, present in args only when given
     p.add_argument("--lr", dest="learning_rate", type=float, default=argparse.SUPPRESS,
                    help=f"gradient learning rate (descent; default {FitConfig.learning_rate})")
-    p.add_argument("--rate-multiplier", type=float, default=argparse.SUPPRESS,
-                   help="uniform multiplier on the learning rate (descent)")
     p.add_argument("--max-iters", dest="max_outer_iters", type=int, default=argparse.SUPPRESS,
                    help="max outer coordinate-descent iterations (descent)")
     p.add_argument("--truncate-at-peak", action="store_true",
                    help="truncate each curve at its first loss minimum")
-    p.add_argument("--backtracking", action="store_true", default=argparse.SUPPRESS,
-                   help="halve rejected gradient steps until the loss is "
-                        "non-increasing (descent; accelerates large learning rates)")
 
 
 def _cfg_from(args) -> FitConfig | None:

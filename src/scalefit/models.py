@@ -87,7 +87,7 @@ class M4Params:
 
 def _as_x(x):
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    if not np.all(x > 0):  # NaN too
         raise ValueError("x must be strictly positive")
     return x
 

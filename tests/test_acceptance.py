@@ -2,7 +2,8 @@
 
 Each test covers one numbered criterion and emits a single PASS/FAIL line
 in the terminal summary (see conftest.VERDICTS). Criteria 7 and 10 share one expensive module-scoped family of synthetic
-sphere curves; everything else runs in seconds.
+sphere curves; everything else runs in seconds.  Criteria 3, 7 and 10 fit
+with the default fit, cfg=None, which is the fit users get.
 """
 
 import math
@@ -10,7 +11,6 @@ import math
 import numpy as np
 import pytest
 
-from configs import FAST
 import conftest
 from oracles import grid_fit_m2, grid_fit_m3, grid_fit_m4, relerr
 from scalefit.curve import CurveSplit, apply_cutoff, split_for_extrapolation
@@ -63,7 +63,8 @@ DEEP_CUTOFF = 512.0
 
 @pytest.fixture(scope="module")
 def sphere_reports():
-    """Per-seed extrapolation reports on the d=100, delta=0.2 sphere task.
+    """Per-seed extrapolation reports on the d=100, delta=0.2 sphere task,
+    under the default fit (the profile search).
 
     For each seed: one report on the plain tau = x_max/2 split (models M2,
     M4, and the no-alpha ablation) and one on the same split with the train
@@ -75,11 +76,10 @@ def sphere_reports():
                               test_size=6000, trials=12, seed=seed)
         curve = generate_sphere_curve(spec).curve
         split = split_for_extrapolation(curve)
-        zero.append(evaluate_task(split, FAST,
-                                  models=("M2", "M4", "M4-no-alpha")))
+        zero.append(evaluate_task(split, models=("M2", "M4", "M4-no-alpha")))
         deep_split = CurveSplit(train=apply_cutoff(split.train, DEEP_CUTOFF),
                                 holdout=split.holdout, tau=split.tau)
-        deep.append(evaluate_task(deep_split, FAST, models=("M2", "M4")))
+        deep.append(evaluate_task(deep_split, models=("M2", "M4")))
     return zero, deep
 
 
@@ -131,7 +131,7 @@ def test_criterion_03_round_trip_recovery():
         p2 = M2Params(r.uniform(0.02, 0.12), r.uniform(0.5, 2.0),
                       r.uniform(-0.5, -0.2))
         c2 = generate_from_model(p2, XS12, eps0=p2.eps_inf + 3 * p2.beta)
-        f2 = fit_m2(c2, FAST).params
+        f2 = fit_m2(c2).params
         g2 = grid_fit_m2(c2, n_grid=4000)
         worst_truth = max(worst_truth, relerr(f2.eps_inf, p2.eps_inf),
                           relerr(f2.beta, p2.beta), relerr(f2.c, p2.c))
@@ -141,7 +141,7 @@ def test_criterion_03_round_trip_recovery():
         p3 = M3Params(r.uniform(0.5, 2.0), r.uniform(0.2, 0.8),
                       r.uniform(1e-4, 1e-2))
         c3 = generate_from_model(p3, XS12, eps0=3 * p3.beta)
-        f3 = fit_m3(c3, FAST).params
+        f3 = fit_m3(c3).params
         g3 = grid_fit_m3(c3)
         worst_truth = max(worst_truth, relerr(f3.beta, p3.beta),
                           relerr(f3.c, p3.c), relerr(f3.gamma, p3.gamma))
@@ -151,7 +151,7 @@ def test_criterion_03_round_trip_recovery():
         p4 = M4Params(1.0, r.uniform(0.01, 0.06), r.uniform(0.2, 1.2),
                       r.uniform(0.1, 0.3), r.uniform(-0.45, -0.2))
         c4 = generate_from_model(p4, XS12, eps0=1.0)
-        f4 = fit_m4(c4, FAST).params
+        f4 = fit_m4(c4).params
         g4 = grid_fit_m4(c4, n_grid=4000)
         worst_truth = max(worst_truth, relerr(f4.eps_inf, p4.eps_inf),
                           relerr(f4.alpha, p4.alpha),

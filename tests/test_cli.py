@@ -11,9 +11,9 @@ from scalefit.models import M2Params
 from scalefit.synthetic import SphereTaskSpec, generate_from_model
 from scalefit.curve import LearningCurve
 
-FAST_FLAGS = ["--rate-multiplier", "1e6", "--max-iters", "2000", "--backtracking"]
-# every model's holdout prediction overflows (fit on 1 < x < 1.005, scored at 300)
-OVERFLOW_FLAGS = ["--rate-multiplier", "1e6", "--backtracking", "--max-iters", "5000"]
+# a descent under which every model's holdout prediction overflows (fit on
+# 1 < x < 1.005, scored at 300); the default fit scores M3 there
+OVERFLOW_FLAGS = ["--lr", "0.1", "--max-iters", "5000"]
 BAD_TIE_FLAGS = [("--tie-abs", "nan"), ("--tie-rel", "nan"), ("--tie-abs", "-1"),
                  ("--tie-rel", "-1"), ("--tie-abs", "inf")]
 
@@ -45,14 +45,14 @@ def run_cli(capsys, *argv):
 
 class TestFitCommand:
     def test_fit_single_model(self, capsys, task_file):
-        code, out, _ = run_cli(capsys, "fit", task_file, "--model", "m2", *FAST_FLAGS)
+        code, out, _ = run_cli(capsys, "fit", task_file, "--model", "m2")
         assert code == 0
         doc = json.loads(out)
         assert doc["task"] == "demo"
         assert doc["fits"]["M2"]["params"]["c"] == pytest.approx(-0.5, abs=0.05)
 
     def test_fit_default_models(self, capsys, task_file):
-        code, out, _ = run_cli(capsys, "fit", task_file, *FAST_FLAGS)
+        code, out, _ = run_cli(capsys, "fit", task_file)
         assert code == 0
         assert set(json.loads(out)["fits"]) == {"M1", "M2", "M3", "M4"}
 
@@ -83,8 +83,7 @@ class TestFitCommand:
 
 class TestEvaluateCommand:
     def test_reports_rmse_and_winners(self, capsys, task_file):
-        code, out, _ = run_cli(capsys, "evaluate", task_file,
-                               "--model", "m1", "--model", "m2", *FAST_FLAGS)
+        code, out, _ = run_cli(capsys, "evaluate", task_file, "--model", "m1", "--model", "m2")
         assert code == 0
         doc = json.loads(out)
         assert doc["rmse"]["M2"] < doc["rmse"]["M1"]
@@ -113,14 +112,14 @@ class TestEvaluateCommand:
 class TestBenchmarkCommand:
     def test_directory_table(self, capsys, task_file):
         code, out, _ = run_cli(capsys, "benchmark", task_file.parent,
-                               "--model", "m1", "--model", "m2", *FAST_FLAGS)
+                               "--model", "m1", "--model", "m2")
         assert code == 0
         assert out.startswith("task\tM1\tM2")
         assert "best_fraction" in out
 
     def test_json_format(self, capsys, task_file):
         code, out, _ = run_cli(capsys, "benchmark", task_file,
-                               "--model", "m2", "--format", "json", *FAST_FLAGS)
+                               "--model", "m2", "--format", "json")
         assert code == 0
         assert json.loads(out)["best_fraction"]["M2"] == 1.0
 
@@ -210,8 +209,7 @@ class TestFitFailurePolicy:
     """fit, plotdata and evaluate record a model that cannot be fit (here M3,
     whose beta underflows to 0) and still report the others."""
 
-    FLAGS = ["--model", "M1", "--model", "M3", "--rate-multiplier", "1e12",
-             "--max-iters", "50"]
+    FLAGS = ["--model", "M1", "--model", "M3", "--lr", "1e5", "--max-iters", "50"]
 
     @pytest.fixture
     def path(self, tmp_path):
@@ -249,12 +247,12 @@ class TestFitFailurePolicy:
 
 class TestEvaluateMatchesBenchmark:
     def test_evaluate_is_the_benchmark_entry_plus_tau(self, capsys, task_file):
-        flags = ["--cutoff", "auto", *FAST_FLAGS]
-        code, out, _ = run_cli(capsys, "evaluate", task_file, *flags)
+        code, out, _ = run_cli(capsys, "evaluate", task_file, "--cutoff", "auto")
         assert code == 0
         doc = json.loads(out)
         assert doc.pop("tau") == 2048.0
-        code, out, _ = run_cli(capsys, "benchmark", task_file, "--format", "json", *flags)
+        code, out, _ = run_cli(capsys, "benchmark", task_file, "--format", "json",
+                               "--cutoff", "auto")
         assert code == 0
         assert json.loads(out)["tasks"] == [doc]
 
@@ -291,8 +289,8 @@ class TestDefaults:
         assert _cfg_from(parser.parse_args(["fit", "t.json"])) is None  # the profile search
         # any one descent flag selects the descent, FitConfig's defaults for the rest
         assert _cfg_from(parser.parse_args(["fit", "t.json", "--lr", "1e-7"])) == FitConfig()
-        assert _cfg_from(parser.parse_args(["fit", "t.json", "--backtracking"])) == FitConfig(
-            backtracking=True)
+        assert _cfg_from(parser.parse_args(["fit", "t.json", "--max-iters", "50"])) == FitConfig(
+            max_outer_iters=50)
         args = parser.parse_args(["benchmark", "t.json"])
         assert TieRule(abs_tol=args.tie_abs, rel_tol=args.tie_rel) == TieRule()
         args = parser.parse_args(["synth"])
@@ -305,7 +303,7 @@ class TestPlotdataCommand:
     def test_csv_output(self, capsys, task_file, tmp_path):
         out_path = tmp_path / "plot.csv"
         code, _, _ = run_cli(capsys, "plotdata", task_file, "--model", "m2",
-                             "--grid-points", "5", "--out", out_path, *FAST_FLAGS)
+                             "--grid-points", "5", "--out", out_path)
         assert code == 0
         lines = out_path.read_text().strip().splitlines()
         assert lines[0] == "x,pred_M2,observed,split"
@@ -330,3 +328,11 @@ class TestUsageErrors:
     def test_bad_cutoff_is_data_error(self, capsys, task_file):
         code, _, _ = run_cli(capsys, "fit", task_file, "--cutoff", "banana")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate", "benchmark", "plotdata"])
+    @pytest.mark.parametrize("flags", [["--rate-multiplier", "1e6"], ["--backtracking"]])
+    def test_removed_line_search_flags(self, capsys, task_file, command, flags):
+        # --lr scales the descent's rate; the default fit needs no line search
+        code, out, err = run_cli(capsys, command, task_file, *flags)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments" in err

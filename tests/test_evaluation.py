@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from configs import FAST
 from strategies import curves
 from scalefit import evaluation, fitting
 from scalefit.curve import (
@@ -33,6 +32,8 @@ from scalefit.models import M2Params, M4Params
 from scalefit.synthetic import generate_from_model
 
 # steep train sides whose fits extrapolate past the largest float at the holdout
+# under OVERFLOW_CFG (the default fit scores M3 on the second)
+OVERFLOW_CFG = FitConfig(learning_rate=0.1, max_outer_iters=5000)
 OVERFLOWING = (
     LearningCurve((1, 1.0039138893383475, 54.598150033144236), (0.25, 0.5, 0.5), 1.0),
     LearningCurve((1, 1.001, 1.002, 1.003, 1.004, 300),
@@ -113,20 +114,20 @@ class TestEvaluateTask:
 
     def test_generative_model_wins_with_zero_rmse(self):
         split = self._m2_split()
-        report = evaluate_task(split, FAST, models=("M1", "M2"))
+        report = evaluate_task(split, models=("M1", "M2"))
         assert report.rmse_by_model["M2"] < 1e-5
         assert "M2" in report.winners
 
     def test_records_exponents(self):
         split = self._m2_split()
-        report = evaluate_task(split, FAST, models=("M1", "M2"))
+        report = evaluate_task(split, models=("M1", "M2"))
         assert report.fitted_exponent_by_model["M2"] == pytest.approx(-0.5, abs=1e-3)
 
     def test_failed_fit_scores_infinite(self):
         # 3 train points cannot support M4's four parameters
         curve = LearningCurve((1, 2, 3, 8), (0.5, 0.45, 0.42, 0.3), 1.0)
         split = split_for_extrapolation(curve)
-        report = evaluate_task(split, FAST, models=("M1", "M4"))
+        report = evaluate_task(split, models=("M1", "M4"))
         assert math.isinf(report.rmse_by_model["M4"])
         assert "M4" in report.diagnostics
         assert math.isnan(report.fitted_exponent_by_model["M4"])
@@ -135,13 +136,13 @@ class TestEvaluateTask:
     @pytest.mark.parametrize("curve", OVERFLOWING)
     def test_overflowing_prediction_is_a_diagnostic(self, curve):
         # numpy's overflow warning is an error under this suite's settings
-        report = evaluate_task(split_for_extrapolation(curve), FAST, ALL_MODEL_NAMES)
+        report = evaluate_task(split_for_extrapolation(curve), OVERFLOW_CFG, ALL_MODEL_NAMES)
         assert set(report.diagnostics) == set(ALL_MODEL_NAMES)
         assert report.diagnostics["M1"] == "predicted loss is not finite"
         assert all(math.isinf(v) for v in report.rmse_by_model.values())
 
     def test_overflow_reads_the_same_for_every_model(self):
-        report = evaluate_task(split_for_extrapolation(OVERFLOWING[1]), FAST,
+        report = evaluate_task(split_for_extrapolation(OVERFLOWING[1]), OVERFLOW_CFG,
                                ALL_MODEL_NAMES)
         assert report.diagnostics == dict.fromkeys(ALL_MODEL_NAMES,
                                                    "predicted loss is not finite")
@@ -210,7 +211,7 @@ class TestFitModels:
             curve = generate_from_model(M2Params(0.1, 0.8, -0.4), np.geomspace(1, 2048, 12),
                                         noise_sigma=noise, rng=np.random.default_rng(11),
                                         eps0=1.0)
-            for cfg in (FAST, FitConfig()):
+            for cfg in (None, FitConfig()):
                 r2 = fitting.fit_m2(curve, cfg)
                 for models in (("M2", ABLATION_NAME), (ABLATION_NAME,)):
                     calls.clear()
@@ -226,7 +227,7 @@ class TestFitModels:
     def test_m2_failure_recorded_under_each_name(self, monkeypatch):
         calls = self._count_fits(monkeypatch)
         curve = LearningCurve((1, 2, 8), (0.5, 0.4, 0.3), 1.0)  # train side: 2 points
-        report = evaluate_task(split_for_extrapolation(curve), FAST,
+        report = evaluate_task(split_for_extrapolation(curve),
                                models=(ABLATION_NAME, "M2"))
         msg = "M2 needs at least 3 points, got 2"
         assert report.diagnostics == {ABLATION_NAME: msg, "M2": msg}
@@ -237,7 +238,7 @@ class TestTotality:
     """Any valid curve gives each model finite parameters or a diagnostic,
     and a finite RMSE or a diagnostic, with no numpy warning on the way."""
 
-    CONFIGS = (None, FAST, FitConfig(max_outer_iters=100),
+    CONFIGS = (None, FitConfig(max_outer_iters=100),
                FitConfig(rate_multiplier=1e6, max_outer_iters=100))
 
     @given(curves())
@@ -255,6 +256,6 @@ class TestTotality:
             split = prepare_split(curve)
         except CurveError:
             return
-        report = evaluate_task(split, FAST, ALL_MODEL_NAMES)
+        report = evaluate_task(split, models=ALL_MODEL_NAMES)
         for name, rmse in report.rmse_by_model.items():
             assert math.isfinite(rmse) != (name in report.diagnostics), name

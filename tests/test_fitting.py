@@ -5,12 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from configs import FAST
 from oracles import grid_fit_m2, grid_fit_m3, grid_fit_m4, relerr
 from strategies import curves, small_alpha_m4_curves, top_gamma_m3_curves
 from scalefit.curve import LearningCurve, split_for_extrapolation
 from scalefit import fitting
-from scalefit.evaluation import ABLATION_NAME, fit_models
+from scalefit.evaluation import ABLATION_NAME, ALL_MODEL_NAMES, fit_models
 from scalefit.fitting import (
     EPS_INF_GRID,
     EPS_INF_MARGIN,
@@ -37,6 +36,11 @@ from scalefit.models import M2Params, M3Params, M4Params
 from scalefit.synthetic import generate_from_model
 
 XS12 = tuple(np.geomspace(1, 2048, 12))
+
+# the paper's descent with a 1e6 times larger rate and a backtracking line
+# search: aggressive but monotone, for the descent's own recovery tests
+FAST = FitConfig(rate_multiplier=1e6, convergence_tol=1e-13,
+                 backtracking=True, max_outer_iters=5000)
 
 
 def curve_of(xs, eps, eps0=1.0):
@@ -689,6 +693,15 @@ class TestNonFiniteFits:
         xs = np.geomspace(1, 4096, 12)
         curve = curve_of(xs, 0.3 * xs ** -0.4 + 0.05, eps0=1e9)
         assert fit_models(curve, FAST, ("M4",)) == {"M4": "fitted beta underflows to 0"}
+
+    @given(curves())
+    @example(LearningCurve((1, 2, 4), (0.5, 0.5, 5e-324), 1.0))  # 1/eps overflows
+    @settings(max_examples=40, deadline=None)
+    def test_fast_fits_are_finite_or_diagnosed(self, curve):
+        for name, fit in fit_models(curve, FAST, ALL_MODEL_NAMES).items():
+            if not isinstance(fit, str):
+                assert np.all(np.isfinite(dataclasses.astuple(fit.params))), name
+                assert np.isfinite(fit.train_loss), name
 
     def test_non_finite_step_is_fit_error(self):
         cfg = FitConfig(learning_rate=1e200, rate_multiplier=1e200)

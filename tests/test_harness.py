@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from configs import FAST
 from scalefit.curve import LearningCurve, split_for_extrapolation
 from scalefit.fitting import fit_m2
 from scalefit.harness import (
@@ -133,7 +132,7 @@ class TestRunBenchmark:
             _make_task(tmp_path, "m2-b", M2Params(0.3, 0.8, -0.4), xs),
             _make_task(tmp_path, "m1-a", M2Params(0.0, 0.9, -0.3), xs),
         ]
-        run = run_benchmark(paths, FAST, models=("M1", "M2"))
+        run = run_benchmark(paths, models=("M1", "M2"))
         frac = run.best_fraction
         # M2 nests M1, so it ties or wins everywhere
         assert frac["M2"] == 1.0
@@ -142,7 +141,7 @@ class TestRunBenchmark:
     def test_single_task_fractions_binary(self, tmp_path):
         xs = np.geomspace(1, 4096, 13)
         path = _make_task(tmp_path, "solo", M2Params(0.2, 1.0, -0.5), xs)
-        run = run_benchmark([path], FAST, models=("M1", "M2"))
+        run = run_benchmark([path], models=("M1", "M2"))
         assert set(run.best_fraction.values()) <= {0.0, 1.0}
 
     def test_deterministic_and_order_independent(self, tmp_path):
@@ -151,8 +150,8 @@ class TestRunBenchmark:
             _make_task(tmp_path, "a", M2Params(0.2, 1.0, -0.5), xs),
             _make_task(tmp_path, "b", M2Params(0.1, 0.7, -0.35), xs),
         ]
-        r1 = run_benchmark(paths, FAST, models=("M1", "M2"))
-        r2 = run_benchmark(list(reversed(paths)), FAST, models=("M1", "M2"))
+        r1 = run_benchmark(paths, models=("M1", "M2"))
+        r2 = run_benchmark(list(reversed(paths)), models=("M1", "M2"))
         assert emit_report(r1, "json") == emit_report(r2, "json")
 
     def test_skipped_accounting(self, tmp_path):
@@ -160,7 +159,7 @@ class TestRunBenchmark:
         good = _make_task(tmp_path, "good", M2Params(0.2, 1.0, -0.5), xs)
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
-        run = run_benchmark([good, bad], FAST, models=("M1", "M2"))
+        run = run_benchmark([good, bad], models=("M1", "M2"))
         assert len(run.reports) + len(run.skipped) == 2
         assert run.skipped[0][0].endswith("bad.json")
 
@@ -168,7 +167,7 @@ class TestRunBenchmark:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         with pytest.raises(TaskFormatError, match="no loadable"):
-            run_benchmark([bad], FAST)
+            run_benchmark([bad])
 
 
 def _toy_run():
@@ -215,7 +214,7 @@ class TestEmitPlotData:
         true = M2Params(0.2, 1.0, -0.5)
         curve = generate_from_model(true, xs, eps0=2.0)
         split = split_for_extrapolation(curve)
-        fits = {"M2": fit_m2(split.train, FAST)}
+        fits = {"M2": fit_m2(split.train)}
         text = emit_plot_data(split, fits, grid_points=10)
         lines = text.strip().splitlines()
         assert lines[0] == "x,pred_M2,observed,split"

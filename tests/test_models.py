@@ -251,6 +251,13 @@ class TestDispatch:
         with pytest.raises(TypeError):
             predict(object(), 1.0)
 
+    @pytest.mark.parametrize("p", [M1Params(1, -0.5), M2Params(0.1, 1, -0.5),
+                                   M3Params(1, 0.5, 0.1), M4Params(1, 0.1, 0.5, 1, -0.5)])
+    def test_nan_x_rejected(self, p):
+        # NaN <= 0 is false, so a "nonpositive" check alone lets it through
+        with pytest.raises(ValueError, match="strictly positive"):
+            predict(p, np.array([np.nan, 2.0]))
+
     @given(model_params(), model_xs())
     @settings(max_examples=500, deadline=None)
     def test_total_and_silent(self, p, x):
