@@ -12,13 +12,15 @@ A model that cannot be fit is recorded, and the others still fit, under
 fit, evaluate, benchmark and plotdata alike (evaluation.fit_models).
 
 Exit codes: 0 success, 1 usage error, 2 data error (task or flag values
-only), 3 fit failure under --strict or when plotdata fits no model.
+only), 3 fit failure under --strict or when plotdata fits no model; a stdout
+closed by its reader (as by `| head`) leaves the exit code as it is.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -158,19 +160,24 @@ def _parse_sizes(spec: str):
     if ":" in spec:
         lo, hi, count = spec.split(":")
         grid = np.geomspace(float(lo), float(hi), int(count))
-        sizes = sorted({int(round(v)) for v in grid})
-        return tuple(sizes)
+        return tuple(sorted({int(round(v)) for v in grid}))
     return tuple(int(s) for s in spec.split(","))
 
 
 def _expand_task_paths(paths):
-    out = []
-    for p in paths:
-        if p.is_dir():
-            out.extend(sorted(p.glob("*.json")))
-        else:
-            out.append(p)
-    return out
+    return [q for p in paths for q in (sorted(p.glob("*.json")) if p.is_dir() else [p])]
+
+
+def _write(text: str) -> None:
+    """Write to stdout now; once its reader has gone (as by `| head`), the
+    rest, and the flush at exit, go to os.devnull and are not an error."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cmd_fit(args) -> int:
@@ -181,8 +188,8 @@ def _cmd_fit(args) -> int:
     if cutoff != 0:  # fit has no split: "auto" is the midpoint of the whole curve
         curve = apply_cutoff(curve, cutoff)
     fits = fit_models(curve, _cfg_from(args), args.model or MODEL_NAMES)
-    print(json.dumps({"task": curve.name,
-                      "fits": {m: _fit_doc(f) for m, f in fits.items()}}, indent=2))
+    _write(json.dumps({"task": curve.name,
+                       "fits": {m: _fit_doc(f) for m, f in fits.items()}}, indent=2) + "\n")
     return 0
 
 
@@ -191,8 +198,8 @@ def _cmd_evaluate(args) -> int:
                           _parse_cutoff(args.cutoff))
     report = evaluate_task(split, _cfg_from(args), args.model or MODEL_NAMES,
                            TieRule(abs_tol=args.tie_abs, rel_tol=args.tie_rel))
-    print(json.dumps({"task": report.task, "tau": split.tau, **report_doc(report)},
-                     indent=2))
+    _write(json.dumps({"task": report.task, "tau": split.tau, **report_doc(report)},
+                      indent=2) + "\n")
     return 0
 
 
@@ -202,7 +209,7 @@ def _cmd_benchmark(args) -> int:
                         TieRule(abs_tol=args.tie_abs, rel_tol=args.tie_rel),
                         truncate_peak=args.truncate_at_peak,
                         cutoff=_parse_cutoff(args.cutoff), seed=args.seed)
-    print(emit_report(run, format=args.format), end="")
+    _write(emit_report(run, format=args.format))
     if args.strict and any(rep.diagnostics for rep in run.reports):
         return FIT_ERROR
     return 0
@@ -219,7 +226,7 @@ def _cmd_synth(args) -> int:
         path = args.out_dir / f"{synth.curve.name}.json"
         save_task(synth.curve, path, domain="synthetic",
                   bayes_risk=synth.bayes_risk)
-        print(path)
+        _write(f"{path}\n")
     return 0
 
 
@@ -235,7 +242,7 @@ def _cmd_plotdata(args) -> int:
         return FIT_ERROR
     text = emit_plot_data(split, fits, grid_points=args.grid_points)
     if args.out is None:
-        print(text, end="")
+        _write(text)
     else:
         args.out.write_text(text)
     return 0

@@ -12,12 +12,13 @@ M2 is M4 without the alpha column and M1 is M2 at eps_inf = 0; a negative
 alpha is projected to 0.  The loss is then a function of theta alone
 (variable projection, Golub & Pereyra 1973), and each model has one solve,
 at one theta or an array of them, which the grid, Brent's method and the
-descent all call.  By default (cfg None) theta is searched exactly
-(_profile): on a grid, then by Brent's method between the best point's
-neighbours.  A FitConfig selects the paper's recipe: each outer iteration
-solves the coefficients, then takes one clamped gradient step on theta, 1e-7
-by default, until the loss decrease falls below convergence_tol or
-max_outer_iters is reached.  loss_* and dloss_* use the residual at given
+descent all call: M1, M2 and M4 on one Householder QR of their design
+(factor_design), M3 in closed form.  By default (cfg None) theta is searched
+exactly (_profile): on a grid, then by Brent's method between the best
+point's neighbours.  A FitConfig selects the paper's recipe: each outer
+iteration solves the coefficients, then takes one clamped gradient step on
+theta, 1e-7 by default, until the loss decrease falls below convergence_tol
+or max_outer_iters is reached.  loss_* and dloss_* use the residual at given
 parameters.
 """
 
@@ -96,51 +97,36 @@ class FitResult:
 def factor_design(features):
     """Factor the design [1, Z] of an (n, p) feature matrix Z once, for each
     solve_loglinear on it: centre Z's columns (the implied intercept), then
-    orthonormalise them by modified Gram-Schmidt (Bjorck 1967), giving
-    (mean, Q, R) with Z - mean = Q.T R and R[j] the column j of R.  Raises
-    DegenerateDesignError on a NaN or infinite feature, or on a constant
-    column or one in the others' span."""
+    take their Householder QR (LAPACK), giving (mean, Q, R) with Z - mean =
+    Q.T R, Q's p rows orthonormal and R upper triangular (mean and R as lists
+    of floats, cheap to index).  Raises DegenerateDesignError on a NaN or
+    infinite feature, or on a constant column or one in the others' span."""
     Z = np.asarray(features, dtype=float)
     n, p = Z.shape
     if n <= p:
         raise DegenerateDesignError("fewer rows than coefficients")
-    Q = Z.T.copy()  # one contiguous row per column, orthonormalised in place
-    mean, R = [], []
-    for j, q in enumerate(Q):
-        norm_z = math.sqrt(q @ q)  # inf or NaN, without a numpy error, if a feature is
-        if not norm_z < math.inf:
-            raise DegenerateDesignError("non-finite design feature")
-        mean.append(float(q.sum()) / n)
-        q -= mean[j]
-        R.append([])
-        for i in range(j):
-            R[j].append(float(Q[i] @ q))
-            q -= R[j][i] * Q[i]
-        R[j].append(math.sqrt(q @ q))
-        if R[j][j] <= n * math.ulp(norm_z):  # within rounding of the span before it
-            raise DegenerateDesignError("degenerate design matrix")
-        q /= R[j][j]
-    return mean, Q, R
+    norm = np.sqrt(np.vecdot(Z, Z, axis=0))  # inf or NaN, without a numpy error, if a feature is
+    if not (norm < np.inf).all():
+        raise DegenerateDesignError("non-finite design feature")
+    mean = Z.sum(axis=0) / n
+    Q, R = np.linalg.qr(Z - mean)
+    if (abs(R.diagonal()) <= n * np.spacing(norm)).any():  # within rounding of the span
+        raise DegenerateDesignError("degenerate design matrix")
+    return mean.tolist(), np.ascontiguousarray(Q.T), R.tolist()
 
 
 def solve_loglinear(targets, factor):
-    """Least-squares fit of (n,) targets, or of each column of (n, k) ones, to
-    b0 + Z . b on factor = factor_design(Z): the coefficients (b0, *b),
-    intercept first, and the residuals, shaped as the targets."""
+    """Least-squares fit of (n,) targets, or of each column of (n, k) ones by
+    the same projection, to b0 + Z . b on factor = factor_design(Z): the
+    coefficients (b0, *b), intercept first, and residuals shaped as the targets."""
     mean, Q, R = factor
     y = np.asarray(targets, dtype=float)
     y_mean = y.sum(axis=0) / len(y)
     r = y - y_mean
-    if r.ndim > 1:  # a batch: Q's rows are orthonormal, so all at once, by BLAS
-        b = list(B := Q @ r)
-        r -= Q.T @ B
-    else:
-        b = []
-        for q in Q:  # project out each column in turn
-            b.append(q @ r)
-            r -= b[-1] * q
-    for j in reversed(range(len(b))):  # back-substitute R b = Q (y - y_mean)
-        b[j] = (b[j] - sum(R[k][j] * b[k] for k in range(j + 1, len(b)))) / R[j][j]
+    b = list(B := Q @ r)
+    r -= Q.T @ B
+    for j in reversed(range(len(b))):  # back-substitute R b = B
+        b[j] = (b[j] - sum(R[j][k] * b[k] for k in range(j + 1, len(b)))) / R[j][j]
     return (y_mean - sum(m * bj for m, bj in zip(mean, b)), *b), r
 
 
@@ -161,13 +147,15 @@ def _dr_deps_inf(eps, e_inf, b=None):
     return -1.0 / (eps - e_inf)
 
 
-def _eps_inf_problem(curve, eps0, alpha, hi=np.inf) -> _Separable:
+def _eps_inf_problem(curve, alpha, hi=np.inf) -> _Separable:
     """M4 (alpha=True) or M2 (alpha=False); theta = eps_inf.  Z is factored
-    once; columns whose alpha is negative are re-solved without its column."""
+    once; columns whose alpha is negative are re-solved on the factor's
+    leading block, the QR of Z without its alpha column."""
     eps = curve.eps_array
-    logx = np.log(curve.x_array)[:, None]
-    base = factor_design(logx)
-    full = factor_design(np.column_stack([logx, np.log(eps0 - eps)])) if alpha else base
+    Z = np.log(curve.x_array)[:, None]
+    full = factor_design(np.column_stack([Z, np.log(curve.eps0 - eps)]) if alpha else Z)
+    mean, Q, R = full
+    base = mean[:1], Q[:1], [R[0][:1]]
 
     def solve(e_inf):
         y = np.log(np.subtract.outer(eps, e_inf))
@@ -425,7 +413,7 @@ def _finite(b0, *rest):
 def fit_m1(curve: LearningCurve) -> FitResult:
     """Closed-form least squares of log eps on (1, log x)."""
     _require_points(curve, 2, "M1")
-    (b0, c), _, loss = _eps_inf_problem(curve, curve.eps0, alpha=False).solve(0.0)
+    (b0, c), _, loss = _eps_inf_problem(curve, alpha=False).solve(0.0)
     return FitResult(M1Params(*_finite(b0, c)), float(loss), 1, True)
 
 
@@ -434,7 +422,7 @@ def _fit_eps_inf(curve, cfg, alpha):
     iterations, converged), with eps_inf < min eps even if that is subnormal."""
     eps_min = float(curve.eps_array.min())
     hi = min((1.0 - EPS_INF_MARGIN) * eps_min, math.nextafter(eps_min, 0.0))
-    problem = _eps_inf_problem(curve, curve.eps0, alpha, hi=hi)
+    problem = _eps_inf_problem(curve, alpha, hi=hi)
     if cfg is not None:
         e_inf, b, *rest = _descend(problem, cfg.eps_inf_init_fraction * eps_min, cfg)
     else:

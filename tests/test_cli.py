@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scalefit
 from scalefit.cli import _cfg_from, build_parser, main
 from scalefit.evaluation import TieRule
 from scalefit.fitting import FitConfig
@@ -43,6 +48,23 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_on_closed_stdout(unbuffered, *argv):
+    """Run `python -m scalefit.cli ARGV` with stdout on a pipe whose reader has
+    already gone, stdout block-buffered (Python's default on a pipe) or not;
+    return the exit code and stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(scalefit.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, *(["-u"] if unbuffered else []),
+                               "-m", "scalefit.cli", *map(str, argv)],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr
+
+
 class TestFitCommand:
     def test_fit_single_model(self, capsys, task_file):
         code, out, _ = run_cli(capsys, "fit", task_file, "--model", "m2")
@@ -55,6 +77,10 @@ class TestFitCommand:
         code, out, _ = run_cli(capsys, "fit", task_file)
         assert code == 0
         assert set(json.loads(out)["fits"]) == {"M1", "M2", "M3", "M4"}
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_is_not_an_error(self, task_file, unbuffered):
+        assert run_on_closed_stdout(unbuffered, "fit", task_file) == (0, b"")
 
     def test_truncate_at_peak_fits_the_prefix(self, capsys, tmp_path):
         xs, eps = (1, 2, 4, 8, 16, 32), (0.5, 0.4, 0.3, 0.2, 0.25, 0.3)
@@ -180,6 +206,8 @@ class TestBenchmarkCommand:
         save_task(curve, path)
         code, _, _ = run_cli(capsys, "benchmark", path, "--model", "m4", "--strict")
         assert code == 3
+        assert run_on_closed_stdout(False, "benchmark", path, "--model", "m4",
+                                    "--strict") == (3, b"")
 
 
 class TestCutoffAutoPerTask:

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import grid_fit_m2, grid_fit_m3, grid_fit_m4, relerr
@@ -204,14 +204,37 @@ class TestSolveLoglinear:
     @given(designs())
     @settings(max_examples=300, deadline=None)
     def test_matches_lstsq_and_residual_is_orthogonal(self, design):
+        """One target vector, and each column of a batch of three."""
         y, Z = design
         A = np.column_stack([np.ones(len(y)), Z])
-        ref = np.linalg.lstsq(A, y, rcond=None)[0]
-        coef, resid = solve(y, Z)
-        scale = np.linalg.norm(y)
-        assert np.linalg.norm(np.subtract(coef, ref)) <= 1e-9 * np.linalg.norm(ref)
-        assert np.linalg.norm(resid - (y - A @ ref)) <= 1e-9 * scale
-        assert np.all(np.abs(A.T @ resid) <= 1e-9 * np.linalg.norm(A, axis=0) * scale)
+        Y = np.column_stack([y, 3 - 2 * y, y ** 2])
+        coefs, resids = solve(Y, Z)
+        for target, coef, resid in [(y, *solve(y, Z)),
+                                    *zip(Y.T, np.transpose(coefs), resids.T)]:
+            ref = np.linalg.lstsq(A, target, rcond=None)[0]
+            scale = np.linalg.norm(target)
+            assert np.linalg.norm(np.subtract(coef, ref)) <= 1e-9 * np.linalg.norm(ref)
+            assert np.linalg.norm(resid - (target - A @ ref)) <= 1e-9 * scale
+            assert np.all(np.abs(A.T @ resid) <= 1e-9 * np.linalg.norm(A, axis=0) * scale)
+
+    @given(small_alpha_m4_curves())
+    @settings(max_examples=50, deadline=None)
+    def test_m4_grid_batch_matches_each_scalar_solve(self, curve):
+        """solve(grid) and solve(theta) score one function, also where the
+        batch re-solves some columns without alpha and keeps the others."""
+        eps = curve.eps_array
+        hi = (1 - EPS_INF_MARGIN) * eps.min()
+        grid = hi * (1 - np.geomspace(1.0, EPS_INF_MARGIN, EPS_INF_GRID + EPS_INF_TOP))
+        problem = fitting._eps_inf_problem(curve, alpha=True, hi=hi)
+        coefs, resids, losses = problem.solve(grid)
+        # alpha changes sign: it is projected to 0 at some points, not all
+        assume(0 < np.count_nonzero(np.broadcast_to(coefs[-1], grid.shape)) < len(grid))
+        for theta, coef, resid, loss in zip(grid, np.transpose(coefs), resids.T, losses):
+            scale = np.linalg.norm(np.log(eps - theta))
+            c1, r1, l1 = problem.solve(theta)
+            assert np.all(np.abs(np.subtract(c1, coef)) <= 1e-12 * scale)
+            assert np.linalg.norm(r1 - resid) <= 1e-12 * scale
+            assert abs(l1 - loss) <= 1e-12 * scale ** 2 / len(eps)
 
 
 class TestFitM1:
