@@ -44,13 +44,6 @@ from .synthetic import SphereTaskSpec, generate_sphere_curve
 USAGE_ERROR, DATA_ERROR, FIT_ERROR = 1, 2, 3
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
-
-
 def _canonical_model(name: str) -> str:
     key = name.strip().lower().replace("_", "-")
     for canonical in ALL_MODEL_NAMES:
@@ -104,9 +97,9 @@ def _fit_doc(fit):
     return doc
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="scalefit",
-                     description="Scaling-law estimation from learning curves")
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="scalefit",
+                                     description="Scaling-law estimation from learning curves")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit models to one task file")
@@ -128,8 +121,6 @@ def build_parser() -> _Parser:
         p.add_argument("--tie-rel", type=float, default=TieRule.rel_tol)
         p.add_argument("--tie-abs", type=float, default=TieRule.abs_tol)
     p_bench.add_argument("--format", choices=("table", "json"), default="table")
-    p_bench.add_argument("--seed", type=int, default=None,
-                         help="recorded in the run for provenance")
     p_bench.add_argument("--strict", action="store_true",
                          help="exit 3 if any model fails to fit on any task")
 
@@ -208,7 +199,7 @@ def _cmd_benchmark(args) -> int:
     run = run_benchmark(paths, _cfg_from(args), args.model or MODEL_NAMES,
                         TieRule(abs_tol=args.tie_abs, rel_tol=args.tie_rel),
                         truncate_peak=args.truncate_at_peak,
-                        cutoff=_parse_cutoff(args.cutoff), seed=args.seed)
+                        cutoff=_parse_cutoff(args.cutoff))
     _write(emit_report(run, format=args.format))
     if args.strict and any(rep.diagnostics for rep in run.reports):
         return FIT_ERROR
@@ -217,6 +208,8 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_synth(args) -> int:
     sizes = _parse_sizes(args.sizes)
+    if args.curves < 1:
+        raise ValueError("curves must be positive")
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for k in range(args.curves):
         spec = SphereTaskSpec(d=args.d, delta=args.delta, sample_sizes=sizes,
@@ -251,8 +244,8 @@ def _cmd_plotdata(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return USAGE_ERROR if exc.code else 0
     try:
         return args.run(args)
     except (OSError, TaskFormatError, CurveError, ValueError) as exc:

@@ -9,6 +9,7 @@ ingestion in the harness.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -103,8 +104,9 @@ def apply_cutoff(curve: LearningCurve, tau: float | str) -> LearningCurve:
     tau = 0 returns an equal curve. Raises CurveError on a negative or NaN tau,
     or when fewer than two points survive, as no model can fit the remainder.
     """
-    if tau == "auto":
-        tau = float(np.sqrt(curve.xs[0] * curve.xs[-1]))
+    if tau == "auto":  # correctly rounded, where x_min * x_max over- or underflows too
+        (m0, e0), (m1, e1) = math.frexp(curve.xs[0]), math.frexp(curve.xs[-1])
+        tau = math.ldexp(math.sqrt(math.ldexp(m0 * m1, (e0 + e1) % 2)), (e0 + e1) // 2)
     if not tau >= 0:  # NaN too: bisect_left(xs, nan) is 0 and would keep every point
         raise CurveError("cutoff must be nonnegative")
     start = bisect_left(curve.xs, tau)

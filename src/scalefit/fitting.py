@@ -14,7 +14,7 @@ alpha is projected to 0.  The loss is then a function of theta alone
 at one theta or an array of them, which the grid, Brent's method and the
 descent all call: M1, M2 and M4 on one Householder QR of their design
 (factor_design), M3 in closed form.  By default (cfg None) theta is searched
-exactly (_profile): on a grid, then by Brent's method between the best
+exactly (_profile): on a fixed grid, then by Brent's method between the best
 point's neighbours.  A FitConfig selects the paper's recipe: each outer
 iteration solves the coefficients, then takes one clamped gradient step on
 theta, 1e-7 by default, until the loss decrease falls below convergence_tol
@@ -35,8 +35,9 @@ from .curve import LearningCurve
 from .models import M1Params, M2Params, M3Params, M4Params
 
 EPS_INF_MARGIN = 1e-6  # eps_inf is clamped to [0, (1 - EPS_INF_MARGIN) * min eps]
-EPS_INF_GRID = 64  # linear grid points on [0, hi], plus EPS_INF_TOP geometric ones
-EPS_INF_TOP = 32  # toward hi, where basins narrow with min eps - eps_inf
+# eps_inf / hi: 63 linear points, 32 geometric ones toward 1 (where basins narrow), 1
+EPS_INF_GRID = np.concatenate([np.linspace(0.0, 1.0, 64)[:-1],
+                               1 - np.geomspace(1 / 64, EPS_INF_MARGIN, 32), [1.0]])
 GAMMA_GRID = np.concatenate([[0.0], np.geomspace(1e-8, 1e2, 200)])
 BRENT_XTOL = 1e-9  # refine theta to within BRENT_XTOL * (|theta| + bracket / 100)
 LOG_BETA_MAX = np.log(np.finfo(float).max)  # exp(log beta) overflows from here
@@ -148,9 +149,9 @@ def _dr_deps_inf(eps, e_inf, b=None):
 
 
 def _eps_inf_problem(curve, alpha, hi=np.inf) -> _Separable:
-    """M4 (alpha=True) or M2 (alpha=False); theta = eps_inf.  Z is factored
-    once; columns whose alpha is negative are re-solved on the factor's
-    leading block, the QR of Z without its alpha column."""
+    """M4 (alpha=True) or M2 (alpha=False); theta = eps_inf.  Z is factored once;
+    where alpha is negative, at one theta or in a batch, the solve on its leading
+    block, the QR of Z without the alpha column, is taken in its place."""
     eps = curve.eps_array
     Z = np.log(curve.x_array)[:, None]
     full = factor_design(np.column_stack([Z, np.log(curve.eps0 - eps)]) if alpha else Z)
@@ -160,15 +161,10 @@ def _eps_inf_problem(curve, alpha, hi=np.inf) -> _Separable:
     def solve(e_inf):
         y = np.log(np.subtract.outer(eps, e_inf))
         b, r = solve_loglinear(y, full)
-        if alpha:
-            neg = b[-1] < 0
-            if all(neg.flat):
-                b, r = solve_loglinear(y, base)
-                b = (*b, 0.0)
-            elif any(neg.flat):  # some columns of a batch
-                b2, r[:, neg] = solve_loglinear(y[:, neg], base)
-                for bj, new in zip(b, (*b2, 0.0)):
-                    bj[neg] = new
+        if alpha and (neg := b[-1] < 0).any():
+            b2, r2 = solve_loglinear(y, base)
+            b = tuple(np.where(neg, new, old) for new, old in zip((*b2, 0.0), b))
+            r = np.where(neg, r2, r)
         return b, r, np.vecdot(r, r, axis=0) / len(r)
 
     return _Separable(solve=solve, dr=partial(_dr_deps_inf, eps), hi=hi)
@@ -426,10 +422,7 @@ def _fit_eps_inf(curve, cfg, alpha):
     if cfg is not None:
         e_inf, b, *rest = _descend(problem, cfg.eps_inf_init_fraction * eps_min, cfg)
     else:
-        grid = np.linspace(0.0, problem.hi, EPS_INF_GRID)
-        # ascending, inside the top interval, as 1/EPS_INF_GRID < 1/(EPS_INF_GRID - 1)
-        top = problem.hi * (1 - np.geomspace(1 / EPS_INF_GRID, EPS_INF_MARGIN, EPS_INF_TOP))
-        e_inf, b, *rest = _profile(problem, np.concatenate([grid[:-1], top, grid[-1:]]))
+        e_inf, b, *rest = _profile(problem, hi * EPS_INF_GRID)
     b0, c, a = b if alpha else (*b, 0.0)
     return _finite(b0, c, e_inf, a), *rest
 
@@ -463,8 +456,8 @@ def fit_m4(curve: LearningCurve, cfg: FitConfig | None = None) -> FitResult:
     eps0 is fixed to curve.eps0.  Given eps_inf, (alpha, log beta, c) is the
     least-squares fit of log(eps - eps_inf) on (log(eps0 - eps), 1, log x);
     a negative alpha is projected to zero by re-solving with the alpha
-    feature dropped.  eps_inf in [0, (1 - EPS_INF_MARGIN) * min eps] is searched
-    from EPS_INF_GRID + EPS_INF_TOP points, then by Brent's method, or under a
+    feature dropped.  eps_inf in [0, hi], hi = (1 - EPS_INF_MARGIN) * min eps, is
+    searched from the points hi * EPS_INF_GRID, then by Brent's method, or under a
     FitConfig takes steps with dL/deps_inf = mean(-2 r_i / (eps_i - eps_inf)).
     The no-alpha ablation is not fit here: with alpha = 0 this is fit_m2, whose
     fit evaluation.fit_models reports.

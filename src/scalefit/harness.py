@@ -103,13 +103,12 @@ def save_task(curve: LearningCurve, path, domain: str = "synthetic",
 class BenchmarkRun:
     reports: tuple
     best_fraction: dict  # model -> fraction of tasks won (rank_methods)
-    seed: int | None = None
     skipped: tuple = ()  # (path, diagnostic) pairs
 
 
 def run_benchmark(task_paths, cfg: FitConfig | None = None, models=MODEL_NAMES,
                   tie: TieRule = TieRule(), truncate_peak: bool = False,
-                  cutoff=0.0, seed: int | None = None) -> BenchmarkRun:
+                  cutoff=0.0) -> BenchmarkRun:
     """Split each task at tau = x_max/2, fit, score, and rank.
 
     Each task goes through curve.prepare_split: cutoff > 0 restricts the
@@ -132,7 +131,6 @@ def run_benchmark(task_paths, cfg: FitConfig | None = None, models=MODEL_NAMES,
     return BenchmarkRun(
         reports=tuple(reports),
         best_fraction=rank_methods(reports),
-        seed=seed,
         skipped=tuple(skipped),
     )
 
@@ -153,7 +151,7 @@ def emit_report(run: BenchmarkRun, format: str = "table") -> str:
 
     "table": tab-separated rows per task, RMSEs in scientific notation with
     two significant digits, winners flagged with '*', plus a best-fraction
-    summary.  "json": full-precision machine-readable document.
+    summary.  "json": report_doc per task, best_fraction and skipped, in full.
     """
     model_names = list(run.reports[0].rmse_by_model)
     if format == "json":
@@ -161,7 +159,6 @@ def emit_report(run: BenchmarkRun, format: str = "table") -> str:
             "tasks": [report_doc(rep) for rep in run.reports],
             "best_fraction": run.best_fraction,
             "skipped": [list(s) for s in run.skipped],
-            "seed": run.seed,
         }
         return json.dumps(doc, indent=2)
     if format != "table":

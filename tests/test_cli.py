@@ -297,6 +297,13 @@ class TestSynthCommand:
         curve = load_task(paths[0])
         assert curve.eps0 == 0.5
 
+    @pytest.mark.parametrize("curves", ["0", "-1"])
+    def test_fewer_than_one_curve_is_data_error(self, capsys, tmp_path, curves):
+        code, out, err = run_cli(capsys, "synth", "--curves", curves, "--out-dir",
+                                 tmp_path / "tasks")
+        assert (code, out) == (2, "")
+        assert "data error" in err
+        assert not (tmp_path / "tasks").exists()
 
     def test_default_geometric_sizes(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "synth", "--d", "3", "--delta", "0.1",
@@ -356,6 +363,18 @@ class TestUsageErrors:
     def test_bad_cutoff_is_data_error(self, capsys, task_file):
         code, _, _ = run_cli(capsys, "fit", task_file, "--cutoff", "banana")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"]])
+    def test_help_is_not_an_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: scalefit")
+
+    def test_benchmark_has_no_seed(self, capsys, task_file):
+        # benchmark draws nothing at random; synth --seed seeds the curves
+        code, out, err = run_cli(capsys, "benchmark", task_file, "--seed", "1")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --seed 1" in err
 
     @pytest.mark.parametrize("command", ["fit", "evaluate", "benchmark", "plotdata"])
     @pytest.mark.parametrize("flags", [["--rate-multiplier", "1e6"], ["--backtracking"]])

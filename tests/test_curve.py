@@ -84,6 +84,22 @@ class TestApplyCutoff:
         with pytest.raises(CurveError, match="insufficient points"):
             apply_cutoff(c, 4)
 
+    def test_auto_keeps_an_exact_midpoint(self):
+        # sqrt(2 * 8) is 4; sqrt(2) * sqrt(8) would be 4.000000000000001
+        assert apply_cutoff(make_curve([2, 4, 8], [0.3, 0.2, 0.1]), "auto").xs == (4.0, 8.0)
+
+    def test_auto_where_the_product_overflows(self):
+        # 1e200 * 1e300 is inf; the two floats' midpoint lies 0.7 ulp above the
+        # float 1e250, so it rounds to the next float, which is kept and 1e250 not
+        up = math.nextafter(1e250, math.inf)
+        c = make_curve([1e200, 1e250, up, 1e300], [0.4, 0.3, 0.2, 0.1])
+        assert apply_cutoff(c, "auto").xs == (up, 1e300)
+
+    def test_auto_where_the_product_underflows(self):
+        # 1e-200 * 1e-150 is 0, which would keep every point
+        c = make_curve([1e-200, 1e-175, 1e-150], [0.3, 0.2, 0.1])
+        assert apply_cutoff(c, "auto").xs == (1e-175, 1e-150)
+
     def test_nested_cutoffs(self):
         # larger cutoffs keep subsets of smaller ones
         c = make_curve(np.geomspace(1, 256, 9), np.linspace(0.5, 0.1, 9))

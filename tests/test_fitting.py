@@ -13,7 +13,6 @@ from scalefit.evaluation import ABLATION_NAME, ALL_MODEL_NAMES, fit_models
 from scalefit.fitting import (
     EPS_INF_GRID,
     EPS_INF_MARGIN,
-    EPS_INF_TOP,
     GAMMA_GRID,
     DegenerateDesignError,
     FitConfig,
@@ -221,11 +220,11 @@ class TestSolveLoglinear:
     @settings(max_examples=50, deadline=None)
     def test_m4_grid_batch_matches_each_scalar_solve(self, curve):
         """solve(grid) and solve(theta) score one function, also where the
-        batch re-solves some columns without alpha and keeps the others."""
+        batch takes some columns from the solve without alpha and keeps the others."""
         eps = curve.eps_array
         hi = (1 - EPS_INF_MARGIN) * eps.min()
-        grid = hi * (1 - np.geomspace(1.0, EPS_INF_MARGIN, EPS_INF_GRID + EPS_INF_TOP))
         problem = fitting._eps_inf_problem(curve, alpha=True, hi=hi)
+        grid = hi * EPS_INF_GRID  # the grid fit_m4 scores
         coefs, resids, losses = problem.solve(grid)
         # alpha changes sign: it is projected to 0 at some points, not all
         assume(0 < np.count_nonzero(np.broadcast_to(coefs[-1], grid.shape)) < len(grid))
@@ -459,6 +458,12 @@ class TestProfileSolve:
 
     XS = np.geomspace(1, 4096, 12)
 
+    def test_eps_inf_grid_spans_the_unit_interval(self):
+        # in units of hi: 63 linear points, 32 geometric ones in the top interval, then 1
+        assert len(EPS_INF_GRID) == 96
+        assert (EPS_INF_GRID[0], EPS_INF_GRID[-1]) == (0.0, 1.0)
+        assert np.all(np.diff(EPS_INF_GRID) > 0)
+
     def test_recovers_eps_inf_where_the_recipe_stalls(self):
         # FitConfig() stops here after 2 iterations at its initial 0.10781
         curve = generate_from_model(M2Params(0.2, 1.0, -0.5), self.XS, eps0=10.0)
@@ -518,8 +523,8 @@ class TestProfileSolve:
         # a true gamma of 1e3 above the grid's top 1e2: the grid is widened once
         m3 = generate_from_model(M3Params(1.0, 0.4, 1e3), np.geomspace(1e-6, 0.1, 12),
                                  0.02, rng, eps0=1e5)
-        for fit, curve, grid in ((fit_m2, m4, [EPS_INF_GRID + EPS_INF_TOP]),
-                                 (fit_m4, m4, [EPS_INF_GRID + EPS_INF_TOP]),
+        for fit, curve, grid in ((fit_m2, m4, [len(EPS_INF_GRID)]),
+                                 (fit_m4, m4, [len(EPS_INF_GRID)]),
                                  (fit_m3, m4, [len(GAMMA_GRID)]),
                                  (fit_m3, m3, [len(GAMMA_GRID), 50])):
             calls.clear()
