@@ -22,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--d", type=int, default=100)
     p_synth.add_argument("--delta", type=float, default=0.2)
     p_synth.add_argument("--sizes", type=str, default="4:4096:16",
-                         help="geometric grid min:max:count, or comma list")
+                         help="geometric grid LO:HI:COUNT, or comma list")
     p_synth.add_argument("--test-size", type=int, default=SphereTaskSpec.test_size)
     p_synth.add_argument("--trials", type=int, default=SphereTaskSpec.trials)
     p_synth.add_argument("--seed", type=int, default=0)
@@ -147,12 +147,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@np.errstate(invalid="ignore")  # an infinite LO or HI fails in int(), not in geomspace
 def _parse_sizes(spec: str):
-    if ":" in spec:
+    try:
+        if ":" not in spec:
+            return tuple(int(s) for s in spec.split(","))
         lo, hi, count = spec.split(":")
         grid = np.geomspace(float(lo), float(hi), int(count))
         return tuple(sorted({int(round(v)) for v in grid}))
-    return tuple(int(s) for s in spec.split(","))
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"--sizes {spec!r} is not LO:HI:COUNT or a comma list ({exc})") from None
 
 
 def _expand_task_paths(paths):
@@ -207,15 +211,14 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    sizes = _parse_sizes(args.sizes)
     if args.curves < 1:
         raise ValueError("curves must be positive")
+    # each curve's spec is this one with another seed: all are checked before mkdir
+    spec = SphereTaskSpec(d=args.d, delta=args.delta, sample_sizes=_parse_sizes(args.sizes),
+                          test_size=args.test_size, trials=args.trials, seed=args.seed)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for k in range(args.curves):
-        spec = SphereTaskSpec(d=args.d, delta=args.delta, sample_sizes=sizes,
-                              test_size=args.test_size, trials=args.trials,
-                              seed=args.seed + k)
-        synth = generate_sphere_curve(spec)
+        synth = generate_sphere_curve(replace(spec, seed=args.seed + k))
         path = args.out_dir / f"{synth.curve.name}.json"
         save_task(synth.curve, path, domain="synthetic",
                   bayes_risk=synth.bayes_risk)

@@ -13,20 +13,21 @@ alpha is projected to 0.  The loss is then a function of theta alone
 (variable projection, Golub & Pereyra 1973), and each model has one solve,
 at one theta or an array of them, which the grid, Brent's method and the
 descent all call: M1, M2 and M4 on one Householder QR of their design
-(factor_design), M3 in closed form.  By default (cfg None) theta is searched
-exactly (_profile): on a fixed grid, then by Brent's method between the best
-point's neighbours.  A FitConfig selects the paper's recipe: each outer
-iteration solves the coefficients, then takes one clamped gradient step on
-theta, 1e-7 by default, until the loss decrease falls below convergence_tol
-or max_outer_iters is reached.  loss_* and dloss_* use the residual at given
-parameters.
+(factor_design), M3 in closed form, for the projection, residual and loss.
+By default (cfg None) theta is searched exactly (_profile): on a fixed grid,
+then by Brent's method between the best point's neighbours, each point also
+solving the coefficients for log beta's range check.  A FitConfig selects the
+paper's recipe: one clamped gradient step on theta per outer iteration, from
+the residual, 1e-7 by default, until the loss decrease falls below
+convergence_tol or max_outer_iters is reached; the coefficients are solved
+once, at the last theta.  loss_* and dloss_* use the residual at given params.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -97,11 +98,11 @@ class FitResult:
 
 def factor_design(features):
     """Factor the design [1, Z] of an (n, p) feature matrix Z once, for each
-    solve_loglinear on it: centre Z's columns (the implied intercept), then
-    take their Householder QR (LAPACK), giving (mean, Q, R) with Z - mean =
-    Q.T R, Q's p rows orthonormal and R upper triangular (mean and R as lists
-    of floats, cheap to index).  Raises DegenerateDesignError on a NaN or
-    infinite feature, or on a constant column or one in the others' span."""
+    solve_loglinear on it: the Householder QR (LAPACK) of the ones column (the
+    implied intercept) and Z's columns, giving (Q, R) with [1, Z] = Q.T R, Q's
+    p + 1 rows orthonormal and R upper triangular (a list of floats, cheap to
+    index).  Raises DegenerateDesignError on a NaN or infinite feature, or on a
+    constant column or one in the others' span."""
     Z = np.asarray(features, dtype=float)
     n, p = Z.shape
     if n <= p:
@@ -109,65 +110,63 @@ def factor_design(features):
     norm = np.sqrt(np.vecdot(Z, Z, axis=0))  # inf or NaN, without a numpy error, if a feature is
     if not (norm < np.inf).all():
         raise DegenerateDesignError("non-finite design feature")
-    mean = Z.sum(axis=0) / n
-    Q, R = np.linalg.qr(Z - mean)
-    if (abs(R.diagonal()) <= n * np.spacing(norm)).any():  # within rounding of the span
+    Q, R = np.linalg.qr(np.column_stack([np.ones(n), Z]))
+    if (abs(R.diagonal()[1:]) <= n * np.spacing(norm)).any():  # within rounding of the span
         raise DegenerateDesignError("degenerate design matrix")
-    return mean.tolist(), np.ascontiguousarray(Q.T), R.tolist()
+    return np.ascontiguousarray(Q.T), R.tolist()
 
 
 def solve_loglinear(targets, factor):
-    """Least-squares fit of (n,) targets, or of each column of (n, k) ones by
-    the same projection, to b0 + Z . b on factor = factor_design(Z): the
-    coefficients (b0, *b), intercept first, and residuals shaped as the targets."""
-    mean, Q, R = factor
+    """Least-squares projection of (n,) targets y, or of each (n, k) column, on factor =
+    factor_design(Z): (B, r), B = Q y and residuals r = y - Q.T B shaped as the targets."""
+    Q, _ = factor
     y = np.asarray(targets, dtype=float)
-    y_mean = y.sum(axis=0) / len(y)
-    r = y - y_mean
-    b = list(B := Q @ r)
-    r -= Q.T @ B
-    for j in reversed(range(len(b))):  # back-substitute R b = B
+    B = Q @ y
+    return B, y - Q.T @ B
+
+
+def loglinear_coefficients(B, factor):
+    """The coefficients (b0, *b), intercept first, of a projection B: R (b0, *b) = B."""
+    R, b = factor[1], list(B)
+    for j in reversed(range(len(b))):
         b[j] = (b[j] - sum(R[j][k] * b[k] for k in range(j + 1, len(b)))) / R[j][j]
-    return (y_mean - sum(m * bj for m, bj in zip(mean, b)), *b), r
+    return tuple(b)
 
 
 @dataclass(frozen=True)
 class _Separable:
     """One model as y(theta) ~ b0 + Z(theta) . b, theta in [0, hi].  solve(thetas)
-    is the least-squares fit at one theta, or at each of an array of them, one
-    column each: the coefficients (b0, *b), the residuals, and the loss, inf
-    where the design is degenerate.  dr(theta, b) is d(y - b0 - Z . b)/dtheta."""
+    projects y at one theta, or at each of an array of them, one column each: the
+    projection p, the residuals, and the loss, inf where the design is degenerate.
+    coefficients(p) is (b0, *b), and dr(p) is d(y - b0 - Z . b)/dtheta there."""
 
     solve: Callable
+    coefficients: Callable
     dr: Callable
     hi: float = np.inf
 
 
-def _dr_deps_inf(eps, e_inf, b=None):
-    """d(log(eps - eps_inf) - b0 - Z . b)/deps_inf, the M2/M4 dr."""
-    return -1.0 / (eps - e_inf)
-
-
-def _eps_inf_problem(curve, alpha, hi=np.inf) -> _Separable:
-    """M4 (alpha=True) or M2 (alpha=False); theta = eps_inf.  Z is factored once;
-    where alpha is negative, at one theta or in a batch, the solve on its leading
-    block, the QR of Z without the alpha column, is taken in its place."""
+@lru_cache(maxsize=2)  # fit_m1 and fit_m2 share one problem, and one factor_design
+def _eps_inf_problem(curve, alpha) -> _Separable:
+    """M4 (alpha=True) or M2 (alpha=False); theta = eps_inf < min eps.  Z is factored
+    once; where alpha is negative, at one theta or in a batch, its component of the
+    projection is dropped: Q's leading rows are the QR of [1, log x] alone."""
     eps = curve.eps_array
+    eps_min = float(eps.min())
     Z = np.log(curve.x_array)[:, None]
-    full = factor_design(np.column_stack([Z, np.log(curve.eps0 - eps)]) if alpha else Z)
-    mean, Q, R = full
-    base = mean[:1], Q[:1], [R[0][:1]]
+    factor = factor_design(np.column_stack([Z, np.log(curve.eps0 - eps)]) if alpha else Z)
+    Q, R = factor
 
     def solve(e_inf):
-        y = np.log(np.subtract.outer(eps, e_inf))
-        b, r = solve_loglinear(y, full)
-        if alpha and (neg := b[-1] < 0).any():
-            b2, r2 = solve_loglinear(y, base)
-            b = tuple(np.where(neg, new, old) for new, old in zip((*b2, 0.0), b))
-            r = np.where(neg, r2, r)
-        return b, r, np.vecdot(r, r, axis=0) / len(r)
+        B, r = solve_loglinear(np.log(gap := np.subtract.outer(eps, e_inf)), factor)
+        if alpha and np.count_nonzero(neg := B[-1] * R[-1][-1] < 0):  # alpha = B[-1] / R[-1][-1]
+            B[-1] -= (drop := B[-1] * neg)
+            r += np.multiply.outer(Q[-1], drop)
+        return (B, gap), r, np.vecdot(r, r, axis=0) / len(r)
 
-    return _Separable(solve=solve, dr=partial(_dr_deps_inf, eps), hi=hi)
+    return _Separable(solve=solve, coefficients=lambda p: loglinear_coefficients(p[0], factor),
+                      dr=lambda p: -1.0 / p[1],
+                      hi=min((1.0 - EPS_INF_MARGIN) * eps_min, math.nextafter(eps_min, 0.0)))
 
 
 def _inverse_x(curve):
@@ -180,27 +179,27 @@ def _inverse_x(curve):
 
 
 def _gamma_problem(curve) -> _Separable:
-    """M3; theta = gamma.  factor_design and solve_loglinear on the column
-    log(1/x + gamma), in closed form."""
+    """M3; theta = gamma.  factor_design and solve_loglinear on the column log u,
+    u = 1/x + gamma, in closed form, projecting to (the column's mean, c, u)."""
     inv_x = _inverse_x(curve)
     y = np.log(curve.eps_array)
     n, y_mean = len(y), y.sum() / len(y)
     yc = y - y_mean
 
     def solve(gammas):
-        Z = np.log(np.add.outer(inv_x, gammas))
-        norm, mean = np.sqrt(np.vecdot(Z, Z, axis=0)), Z.sum(axis=0) / n
+        Z = np.log(u := np.add.outer(inv_x, gammas))
+        mean = Z.sum(axis=0) / n
         Z -= mean
-        s = np.sqrt(np.vecdot(Z, Z, axis=0))
-        ok = s > n * np.spacing(norm)  # factor_design's rank test
-        s = s + ~ok  # 1 where it fails, for finite coefficients there
-        Z /= s  # the unit column
-        b = yc @ Z
-        r, c = (yc - (Z * b).T).T, b / s
+        ss = np.vecdot(Z, Z, axis=0)
+        # factor_design's rank test, with |Z|^2 = ss + n mean^2
+        ok = np.sqrt(ss) > n * np.spacing(np.sqrt(ss + n * mean * mean))
+        c = yc @ Z / (ss + ~ok)  # ss + 1 where the test fails, for a finite c there
+        r = (yc - (Z * c).T).T
         loss = np.vecdot(r, r, axis=0) / n
-        return (y_mean - mean * c, c), r, loss if all(ok.flat) else np.where(ok, loss, np.inf)
+        return (mean, c, u), r, loss if all(ok.flat) else np.where(ok, loss, np.inf)
 
-    return _Separable(solve=solve, dr=lambda g, b: -b[1] / (inv_x + g))
+    return _Separable(solve=solve, coefficients=lambda p: (y_mean - p[0] * p[1], p[1]),
+                      dr=lambda p: -p[1] / p[2])
 
 
 def _loss_and_grad(curve, p, grad=True):
@@ -208,17 +207,17 @@ def _loss_and_grad(curve, p, grad=True):
     (eps_inf) params, whatever the design's rank; the loss alone, without
     the gradient's 1/(eps - eps_inf), if not grad."""
     eps = curve.eps_array
-    if isinstance(p, M3Params):
-        r = np.log(eps) - np.log(p.beta) - p.c * np.log(_inverse_x(curve) + p.gamma)
-        dr = partial(_gamma_problem(curve).dr, p.gamma, (None, p.c))
+    if isinstance(p, M3Params):  # dr/dtheta = -scale / u
+        scale, u = p.c, _inverse_x(curve) + p.gamma
+        r = np.log(eps) - np.log(p.beta) - p.c * np.log(u)
     elif np.any(eps <= p.eps_inf):
         raise FitError("eps_inf exceeds observed loss")
     else:
-        r = (np.log(eps - p.eps_inf) - p.alpha * np.log(p.eps0 - eps) - np.log(p.beta)
+        scale, u = 1.0, eps - p.eps_inf
+        r = (np.log(u) - p.alpha * np.log(p.eps0 - eps) - np.log(p.beta)
              - p.c * np.log(curve.x_array))
-        dr = partial(_dr_deps_inf, eps, p.eps_inf)
     loss = float(r @ r) / len(r)
-    return (loss, 2.0 * float(r @ dr()) / len(r)) if grad else loss
+    return (loss, 2.0 * float(r @ (-scale / u)) / len(r)) if grad else loss
 
 
 def loss_m4(curve: LearningCurve, p: M4Params) -> float:
@@ -257,40 +256,40 @@ def _require_points(curve, n, model):
 
 @np.errstate(over="raise", divide="raise", invalid="raise")  # 1/(eps - eps_inf) can overflow
 def _descend(problem: _Separable, init, cfg):
-    """Outer loop: exact least-squares coefficients, then one gradient step on
-    theta, clamped to [0, problem.hi].  A degenerate design raises
-    DegenerateDesignError, a non-finite step FitError, and a numpy overflow,
-    division by zero or invalid value FloatingPointError.
+    """Outer loop: one gradient step on theta from the residual, clamped to
+    [0, problem.hi]; the coefficients only at the theta returned.  A degenerate
+    design raises DegenerateDesignError, a non-finite step FitError, and a numpy
+    overflow, division by zero or invalid value FloatingPointError.
 
     Returns (theta, coeffs, loss, iterations, converged).
     """
     def solve(theta):
-        coeffs, resid, loss = problem.solve(theta)
+        proj, resid, loss = problem.solve(theta)
         if not loss < np.inf:
             raise DegenerateDesignError("degenerate design matrix")
-        return coeffs, resid, float(loss)
+        return proj, resid, float(loss)
 
     theta = min(max(init, 0.0), problem.hi)
     rate = cfg.effective_rate
     prev_loss = np.inf
-    coeffs, resid, loss = solve(theta)
+    proj, resid, loss = solve(theta)
     for k in range(1, cfg.max_outer_iters + 1):
         if prev_loss - loss < cfg.convergence_tol:  # a rise stops too, unconverged
-            return theta, coeffs, loss, k, loss <= prev_loss
+            return theta, problem.coefficients(proj), loss, k, loss <= prev_loss
         prev_loss = loss
-        step = rate * (2.0 * float(resid @ problem.dr(theta, coeffs)) / len(resid))
+        step = rate * (2.0 * float(resid @ problem.dr(proj)) / len(resid))
         for _ in range(40 if cfg.backtracking else 1):
             candidate = min(max(theta - step, 0.0), problem.hi)
             if not math.isfinite(candidate):
                 raise FitError("non-finite step during coordinate descent")
-            c2, r2, l2 = solve(candidate)
+            p2, r2, l2 = solve(candidate)
             if l2 <= loss or not cfg.backtracking:
                 break
             step *= 0.5
         else:  # every halving raised the loss: a failed line search
-            return theta, coeffs, loss, k, False
-        theta, coeffs, resid, loss = candidate, c2, r2, l2
-    return theta, coeffs, loss, cfg.max_outer_iters, False
+            return theta, problem.coefficients(proj), loss, k, False
+        theta, proj, resid, loss = candidate, p2, r2, l2
+    return theta, problem.coefficients(proj), loss, cfg.max_outer_iters, False
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")
@@ -309,7 +308,8 @@ def _profile(problem: _Separable, thetas):
     Returns (theta, coeffs, loss, grid points + scalar solves, True).
     """
     def score(thetas):
-        coeffs, _, losses = problem.solve(thetas)
+        proj, _, losses = problem.solve(thetas)
+        coeffs = problem.coefficients(proj)
         ok = _positive_beta(coeffs[0])
         return (losses if all(ok.flat) else np.where(ok, losses, np.inf)), coeffs
 
@@ -409,22 +409,19 @@ def _finite(b0, *rest):
 def fit_m1(curve: LearningCurve) -> FitResult:
     """Closed-form least squares of log eps on (1, log x)."""
     _require_points(curve, 2, "M1")
-    (b0, c), _, loss = _eps_inf_problem(curve, alpha=False).solve(0.0)
-    return FitResult(M1Params(*_finite(b0, c)), float(loss), 1, True)
+    problem = _eps_inf_problem(curve, alpha=False)
+    proj, _, loss = problem.solve(0.0)
+    return FitResult(M1Params(*_finite(*problem.coefficients(proj))), float(loss), 1, True)
 
 
 def _fit_eps_inf(curve, cfg, alpha):
     """M4, or M2 when alpha is False: ((beta, c, eps_inf, alpha), loss,
-    iterations, converged), with eps_inf < min eps even if that is subnormal."""
-    eps_min = float(curve.eps_array.min())
-    hi = min((1.0 - EPS_INF_MARGIN) * eps_min, math.nextafter(eps_min, 0.0))
-    problem = _eps_inf_problem(curve, alpha, hi=hi)
-    if cfg is not None:
-        e_inf, b, *rest = _descend(problem, cfg.eps_inf_init_fraction * eps_min, cfg)
-    else:
-        e_inf, b, *rest = _profile(problem, hi * EPS_INF_GRID)
+    iterations, converged)."""
+    problem = _eps_inf_problem(curve, alpha=alpha)
+    e_inf, b, *rest = (_profile(problem, problem.hi * EPS_INF_GRID) if cfg is None
+                       else _descend(problem, cfg.eps_inf_init_fraction * min(curve.eps), cfg))
     b0, c, a = b if alpha else (*b, 0.0)
-    return _finite(b0, c, e_inf, a), *rest
+    return _finite(b0, c, e_inf, a + 0.0), *rest  # a projected alpha, 0 / R[-1][-1], may be -0.0
 
 
 def fit_m2(curve: LearningCurve, cfg: FitConfig | None = None) -> FitResult:
@@ -455,8 +452,8 @@ def fit_m4(curve: LearningCurve, cfg: FitConfig | None = None) -> FitResult:
 
     eps0 is fixed to curve.eps0.  Given eps_inf, (alpha, log beta, c) is the
     least-squares fit of log(eps - eps_inf) on (log(eps0 - eps), 1, log x);
-    a negative alpha is projected to zero by re-solving with the alpha
-    feature dropped.  eps_inf in [0, hi], hi = (1 - EPS_INF_MARGIN) * min eps, is
+    a negative alpha is projected to zero by dropping its component of the
+    projection.  eps_inf in [0, hi], hi = (1 - EPS_INF_MARGIN) * min eps, is
     searched from the points hi * EPS_INF_GRID, then by Brent's method, or under a
     FitConfig takes steps with dL/deps_inf = mean(-2 r_i / (eps_i - eps_inf)).
     The no-alpha ablation is not fit here: with alpha = 0 this is fit_m2, whose

@@ -305,6 +305,22 @@ class TestSynthCommand:
         assert "data error" in err
         assert not (tmp_path / "tasks").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--test-size", "0"), ("--trials", "0"),
+                                             ("--d", "0"), ("--delta", "0.5"),
+                                             ("--sizes", "4:4096:0")])
+    def test_invalid_spec_makes_no_out_dir(self, capsys, tmp_path, flag, value):
+        code, out, err = run_cli(capsys, "synth", flag, value, "--out-dir", tmp_path / "tasks")
+        assert (code, out) == (2, "")
+        assert "data error" in err
+        assert not (tmp_path / "tasks").exists()
+
+    @pytest.mark.parametrize("sizes", ["4:4096", "a:b:c", "4:inf:3"])
+    def test_malformed_sizes_name_the_flag_and_its_form(self, capsys, tmp_path, sizes):
+        code, out, err = run_cli(capsys, "synth", "--sizes", sizes, "--out-dir", tmp_path / "tasks")
+        assert (code, out) == (2, "")
+        assert f"--sizes {sizes!r} is not LO:HI:COUNT" in err
+        assert not (tmp_path / "tasks").exists()
+
     def test_default_geometric_sizes(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "synth", "--d", "3", "--delta", "0.1",
                                "--test-size", "200", "--trials", "1",

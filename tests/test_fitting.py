@@ -27,6 +27,7 @@ from scalefit.fitting import (
     fit_m2,
     fit_m3,
     fit_m4,
+    loglinear_coefficients,
     loss_m3,
     loss_m4,
     solve_loglinear,
@@ -113,7 +114,9 @@ class TestLosses:
 
 
 def solve(targets, features):
-    return solve_loglinear(targets, factor_design(features))
+    factor = factor_design(features)
+    projection, resid = solve_loglinear(targets, factor)
+    return loglinear_coefficients(projection, factor), resid
 
 
 @st.composite
@@ -222,18 +225,39 @@ class TestSolveLoglinear:
         """solve(grid) and solve(theta) score one function, also where the
         batch takes some columns from the solve without alpha and keeps the others."""
         eps = curve.eps_array
-        hi = (1 - EPS_INF_MARGIN) * eps.min()
-        problem = fitting._eps_inf_problem(curve, alpha=True, hi=hi)
-        grid = hi * EPS_INF_GRID  # the grid fit_m4 scores
-        coefs, resids, losses = problem.solve(grid)
+        problem = fitting._eps_inf_problem(curve, alpha=True)
+        grid = problem.hi * EPS_INF_GRID  # the grid fit_m4 scores
+        proj, resids, losses = problem.solve(grid)
+        coefs = problem.coefficients(proj)
         # alpha changes sign: it is projected to 0 at some points, not all
         assume(0 < np.count_nonzero(np.broadcast_to(coefs[-1], grid.shape)) < len(grid))
         for theta, coef, resid, loss in zip(grid, np.transpose(coefs), resids.T, losses):
             scale = np.linalg.norm(np.log(eps - theta))
-            c1, r1, l1 = problem.solve(theta)
+            p1, r1, l1 = problem.solve(theta)
+            c1 = problem.coefficients(p1)
             assert np.all(np.abs(np.subtract(c1, coef)) <= 1e-12 * scale)
             assert np.linalg.norm(r1 - resid) <= 1e-12 * scale
             assert abs(l1 - loss) <= 1e-12 * scale ** 2 / len(eps)
+
+    @given(small_alpha_m4_curves())
+    @settings(max_examples=50, deadline=None)
+    def test_projected_m4_solve_is_the_m2_solve(self, curve):
+        """Where alpha is projected to 0, M4's residuals and loss are M2's at
+        the same eps_inf, in a batch and at one theta."""
+        m4 = fitting._eps_inf_problem(curve, alpha=True)
+        m2 = fitting._eps_inf_problem(curve, alpha=False)
+        grid = m4.hi * EPS_INF_GRID
+        proj, resids, losses = m4.solve(grid)
+        projected = np.flatnonzero(m4.coefficients(proj)[-1] == 0)
+        assume(len(projected) > 0)
+        _, resids2, losses2 = m2.solve(grid)
+        theta = grid[projected[0]]
+        pairs = [(theta, m4.solve(theta)[1:], m2.solve(theta)[1:])] + [
+            (grid[i], (resids[:, i], losses[i]), (resids2[:, i], losses2[i])) for i in projected]
+        for t, (r4, l4), (r2, l2) in pairs:
+            scale = np.linalg.norm(np.log(curve.eps_array - t))
+            assert np.linalg.norm(r4 - r2) <= 1e-12 * scale
+            assert abs(l4 - l2) <= 1e-12 * scale ** 2 / len(curve)
 
 
 class TestFitM1:
@@ -349,7 +373,7 @@ class TestLineSearch:
         # loss(theta) = theta^2, but dr has the wrong sign, so every step,
         # however often it is halved, moves theta up from 1 and the loss rises
         uphill = _Separable(solve=lambda t: ((0.0,), np.array([t, -t]), t * t),
-                            dr=lambda t, b: np.array([-1.0, 1.0]))
+                            coefficients=lambda p: p, dr=lambda p: np.array([-1.0, 1.0]))
         cfg = FitConfig(learning_rate=1.0, backtracking=True)
         theta, coeffs, loss, iterations, converged = _descend(uphill, 1.0, cfg)
         assert (theta, loss, iterations, converged) == (1.0, 1.0, 1, False)
@@ -664,6 +688,34 @@ class TestGradientDrivesFit:
         expect = max(gamma0 - cfg.effective_rate * grad, 0.0)
         assert expect != gamma0
         assert fit_m3(curve, cfg).params.gamma == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("model", ["M2", "M4", "M3"])
+    def test_step_gradient_is_the_public_gradient(self, model):
+        """The descent's dL/dtheta, 2/n r . dr(projection), is dloss_m4_deps_inf
+        or dloss_m3_dgamma at the coefficients solved at theta: for M4 at thetas
+        where alpha is projected to 0 and where it is not."""
+        curve = generate_from_model(M4Params(1.0, 0.05, 0.02, 0.4, -0.4), XS12, 0.02,
+                                    np.random.default_rng(0))
+        if model == "M3":
+            problem = fitting._gamma_problem(curve)
+            thetas = [0.0, 1e-3, 0.1]
+        else:
+            problem = fitting._eps_inf_problem(curve, alpha=model == "M4")
+            thetas = problem.hi * np.array([0.1, 0.5, 0.7, 0.9])
+        alphas = []
+        for theta in thetas:
+            proj, r, _ = problem.solve(theta)
+            step_grad = 2.0 * float(r @ problem.dr(proj)) / len(r)
+            b0, c, *rest = problem.coefficients(proj)
+            if model == "M3":
+                public = dloss_m3_dgamma(curve, M3Params(np.exp(b0), c, theta))
+            else:
+                alphas.append(alpha := rest[0] if rest else 0.0)
+                public = dloss_m4_deps_inf(curve, M4Params(curve.eps0, theta, alpha,
+                                                           np.exp(b0), c))
+            assert step_grad == pytest.approx(public, rel=1e-12)
+        if model == "M4":
+            assert 0 < np.count_nonzero(alphas) < len(alphas)
 
 
 class TestPinnedIterates:
