@@ -227,6 +227,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
+    if args.grid_points < 1:
+        raise ValueError("--grid-points must be positive")
     split = prepare_split(load_task(args.task), args.truncate_at_peak,
                           _parse_cutoff(args.cutoff))
     results = fit_models(split.train, _cfg_from(args), args.model or MODEL_NAMES)

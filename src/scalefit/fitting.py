@@ -11,16 +11,18 @@ coefficients solved exactly by least squares and theta one scalar in [0, hi]:
 M2 is M4 without the alpha column and M1 is M2 at eps_inf = 0; a negative
 alpha is projected to 0.  The loss is then a function of theta alone
 (variable projection, Golub & Pereyra 1973), and each model has one solve,
-at one theta or an array of them, which the grid, Brent's method and the
+at one theta or an array of them, which the grid, the slope search and the
 descent all call: M1, M2 and M4 on one Householder QR of their design
-(factor_design), M3 in closed form, for the projection, residual and loss.
-By default (cfg None) theta is searched exactly (_profile): on a fixed grid,
-then by Brent's method between the best point's neighbours, each point also
-solving the coefficients for log beta's range check.  A FitConfig selects the
-paper's recipe: one clamped gradient step on theta per outer iteration, from
-the residual, 1e-7 by default, until the loss decrease falls below
-convergence_tol or max_outer_iters is reached; the coefficients are solved
-once, at the last theta.  loss_* and dloss_* use the residual at given params.
+(factor_design), M3 in closed form, for the projection, residual and loss,
+from which the slope dL/dtheta is one dot product (Kaufman 1975).  By default
+(cfg None) theta is searched exactly (_profile): on a fixed grid, then by a
+bracketed secant on the slope from the best point toward its neighbour
+downhill, each point also solving the coefficients for log beta's range
+check.  A FitConfig selects the paper's recipe: one clamped gradient step on
+theta per outer iteration, from the residual, 1e-7 by default, until the loss
+decrease falls below convergence_tol or max_outer_iters is reached; the
+coefficients are solved once, at the last theta.  loss_* and dloss_* use the
+residual at given params.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ EPS_INF_MARGIN = 1e-6  # eps_inf is clamped to [0, (1 - EPS_INF_MARGIN) * min ep
 EPS_INF_GRID = np.concatenate([np.linspace(0.0, 1.0, 64)[:-1],
                                1 - np.geomspace(1 / 64, EPS_INF_MARGIN, 32), [1.0]])
 GAMMA_GRID = np.concatenate([[0.0], np.geomspace(1e-8, 1e2, 200)])
-BRENT_XTOL = 1e-9  # refine theta to within BRENT_XTOL * (|theta| + bracket / 100)
+THETA_TOL = 1e-9  # theta's bracket ends 2 * THETA_TOL * (|theta| + first width / 100) wide
 LOG_BETA_MAX = np.log(np.finfo(float).max)  # exp(log beta) overflows from here
 
 
@@ -133,6 +135,11 @@ def loglinear_coefficients(B, factor):
     return tuple(b)
 
 
+def _slope(r, dr):
+    """dL/dtheta = 2/n r . dr at one theta, from its residuals r and dr = dr/dtheta."""
+    return 2.0 * float(r @ dr) / len(r)
+
+
 @dataclass(frozen=True)
 class _Separable:
     """One model as y(theta) ~ b0 + Z(theta) . b, theta in [0, hi].  solve(thetas)
@@ -217,7 +224,7 @@ def _loss_and_grad(curve, p, grad=True):
         r = (np.log(u) - p.alpha * np.log(p.eps0 - eps) - np.log(p.beta)
              - p.c * np.log(curve.x_array))
     loss = float(r @ r) / len(r)
-    return (loss, 2.0 * float(r @ (-scale / u)) / len(r)) if grad else loss
+    return (loss, _slope(r, -scale / u)) if grad else loss
 
 
 def loss_m4(curve: LearningCurve, p: M4Params) -> float:
@@ -277,7 +284,7 @@ def _descend(problem: _Separable, init, cfg):
         if prev_loss - loss < cfg.convergence_tol:  # a rise stops too, unconverged
             return theta, problem.coefficients(proj), loss, k, loss <= prev_loss
         prev_loss = loss
-        step = rate * (2.0 * float(resid @ problem.dr(proj)) / len(resid))
+        step = rate * _slope(resid, problem.dr(proj))
         for _ in range(40 if cfg.backtracking else 1):
             candidate = min(max(theta - step, 0.0), problem.hi)
             if not math.isfinite(candidate):
@@ -295,29 +302,34 @@ def _descend(problem: _Separable, init, cfg):
 @np.errstate(over="raise", divide="raise", invalid="raise")
 def _profile(problem: _Separable, thetas):
     """Exact outer search (the default fit): the loss over the grid thetas,
-    widened by decades while an unbounded theta's best is the top end, then
-    Brent's bounded minimisation (Brent 1973, ch. 5) between the best grid
-    point's neighbours, started from that point: parabolic steps, or golden
-    section where a parabola fails or meets an infinite loss, until the best
-    point is within BRENT_XTOL * (|theta| + bracket width / 100) of the
-    minimum.  score solves the grid, each widening and each bisection or
-    Brent point in one call; a degenerate design or a beta out of float range
-    scores inf.  _bisect_into_range adds grid points where beta leaves float
-    range, and DegenerateDesignError is raised if no grid point can be scored.
+    widened by decades while an unbounded theta's best is the top end, then a
+    zero of the slope dL/dtheta from the best grid point toward its neighbour
+    downhill (none at a bound the slope points out of, or for a slope 0 or
+    unknown).  lo, the best point scored, slopes toward hi, and hi slopes back
+    or scores no lower, so a minimum lies between.  A step, at least tol
+    inside, is a secant on the slopes (Illinois), or a bisection where they do
+    not change sign, until the bracket is 2 tol wide, tol = THETA_TOL * (|lo| +
+    first width / 100).  score solves the grid, each widening and each point
+    in one call, scoring inf for a degenerate design or a beta out of float
+    range.  _bisect_into_range adds grid points where beta leaves float range,
+    and DegenerateDesignError is raised if no grid point can be scored.
 
     Returns (theta, coeffs, loss, grid points + scalar solves, True).
     """
     def score(thetas):
-        proj, _, losses = problem.solve(thetas)
+        proj, resid, losses = problem.solve(thetas)
         coeffs = problem.coefficients(proj)
         ok = _positive_beta(coeffs[0])
-        return (losses if all(ok.flat) else np.where(ok, losses, np.inf)), coeffs
+        with np.errstate(all="ignore"):  # the slope may overflow, as 1/(eps - eps_inf) can
+            slope = _slope(resid, problem.dr(proj)) if np.ndim(thetas) == 0 else math.nan
+        return (losses if all(ok.flat) else np.where(ok, losses, np.inf)), coeffs, \
+            slope if math.isfinite(slope) else math.nan  # an overflow is unknown
 
-    losses, (b0, *_) = score(thetas)
+    losses, (b0, *_), _ = score(thetas)
     while (problem.hi == np.inf and np.argmin(losses) == len(thetas) - 1
            and thetas[-1] < 1e290):  # and before the grid overflows
         wider = thetas[-1] * np.geomspace(1.0, 1e10, 51)[1:]
-        more, (b0_more, *_) = score(wider)
+        more, (b0_more, *_), _ = score(wider)
         thetas, losses, b0 = (np.append(*z) for z in ((thetas, wider), (losses, more),
                                                       (b0, b0_more)))
     thetas, losses, solves = _bisect_into_range(score, thetas, losses, b0)
@@ -326,44 +338,27 @@ def _profile(problem: _Separable, thetas):
                                     "at every grid point")
 
     k = int(np.argmin(losses))
-    a, x, b = (float(thetas[i]) for i in (max(k - 1, 0), k, min(k + 1, len(thetas) - 1)))
-    abs_tol = BRENT_XTOL * (b - a) / 100
-    fx, coeffs = score(x)
-    w = v = x  # the second and third best points
-    fx = fw = fv = float(fx)
-    d = e = 0.0  # this step and the one before last
-    solves += 1
-    while True:
-        mid, tol = (a + b) / 2, BRENT_XTOL * abs(x) + abs_tol
-        if abs(x - mid) <= 2 * tol - (b - a) / 2:
-            break
-        p = q = 0.0
-        if abs(e) > tol and math.isfinite(fx + fw + fv):  # a parabola through x, w, v
-            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
-            p, q = (x - v) * q - (x - w) * r, 2 * (q - r)
-            p, q = (-p, q) if q > 0 else (p, -q)
-        if abs(p) < abs(q * e / 2) and q * (a - x) < p < q * (b - x):
-            e, d = d, p / q
-            if min(x + d - a, b - x - d) < 2 * tol:  # too near an end: tol inward
-                d = math.copysign(tol, mid - x)
-        else:  # golden section into the larger part
-            e = (a if x >= mid else b) - x
-            d = (3 - math.sqrt(5)) / 2 * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu, cu = score(u)
-        fu, solves = float(fu), solves + 1
-        if fu <= fx:
-            a, b = (x, b) if u >= x else (a, x)
-            v, fv, w, fw, x, fx, coeffs = w, fw, x, fx, u, fu, cu
+    f_lo, coeffs, s_lo = score(lo := float(thetas[k]))
+    j = k + (s_lo < 0) - (s_lo > 0)  # downhill; k itself where the slope is 0 or nan
+    hi = float(thetas[j]) if 0 <= j < len(thetas) else lo
+    s_hi, width, kept, solves = math.nan, abs(hi - lo) / 100, None, solves + 1
+    while abs(hi - lo) > 2 * (tol := THETA_TOL * (abs(lo) + width)):
+        w = hi - lo
+        t = s_lo / (s_lo - s_hi) if s_lo * w < 0 < s_hi * w else 0.5  # secant, or bisection
+        u = min(max(lo + t * w, min(lo, hi) + tol), max(lo, hi) - tol)
+        f_u, c_u, s_u = score(u)
+        solves += 1
+        if f_u < f_lo:
+            if s_u * w > 0:  # sloping back: the old lo closes the bracket
+                hi, s_hi = lo, s_lo
+            lo, f_lo, s_lo, coeffs = u, f_u, s_u, c_u
+            s_hi, kept = s_hi / (1 + (hi == kept)), hi  # Illinois: halved if kept twice
         else:
-            a, b = (a, u) if u >= x else (u, b)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v in (x, w):
-                v, fv = u, fu
-    if fx == np.inf:  # every theta tried, the grid's best too, scored inf alone
+            hi, s_hi = u, s_u
+            s_lo, kept = s_lo / (1 + (lo == kept)), lo
+    if f_lo == np.inf:  # every theta tried, the grid's best too, scored inf alone
         raise DegenerateDesignError("degenerate design or beta out of float range")
-    return x, coeffs, fx, solves, True
+    return lo, coeffs, float(f_lo), solves, True
 
 
 def _bisect_into_range(score, thetas, losses, b0):
@@ -380,7 +375,7 @@ def _bisect_into_range(score, thetas, losses, b0):
             continue
         lo, hi, kept = thetas[i], thetas[i + 1], None
         for _ in range(64):
-            fm, (m0, *_) = score(mid := (lo + hi) / 2)
+            fm, (m0, *_), _ = score(mid := (lo + hi) / 2)
             solves += 1
             if _positive_beta(m0):
                 kept = mid, fm
@@ -436,8 +431,8 @@ def fit_m3(curve: LearningCurve, cfg: FitConfig | None = None) -> FitResult:
     """Fit eps = beta * (1/x + gamma)^c.
 
     Given gamma, (log beta, c) is the least-squares fit of log eps on
-    (1, log(1/x + gamma)); gamma >= 0 is searched from GAMMA_GRID, then by
-    Brent's method, or under a FitConfig takes gradient steps with
+    (1, log(1/x + gamma)); gamma >= 0 is searched from GAMMA_GRID, then by a
+    secant on dL/dgamma, or under a FitConfig takes gradient steps with
     dL/dgamma = mean(-2 r_i c / (1/x_i + gamma)).
     """
     _require_points(curve, 3, "M3")
@@ -454,8 +449,9 @@ def fit_m4(curve: LearningCurve, cfg: FitConfig | None = None) -> FitResult:
     least-squares fit of log(eps - eps_inf) on (log(eps0 - eps), 1, log x);
     a negative alpha is projected to zero by dropping its component of the
     projection.  eps_inf in [0, hi], hi = (1 - EPS_INF_MARGIN) * min eps, is
-    searched from the points hi * EPS_INF_GRID, then by Brent's method, or under a
-    FitConfig takes steps with dL/deps_inf = mean(-2 r_i / (eps_i - eps_inf)).
+    searched from the points hi * EPS_INF_GRID, then by a secant on dL/deps_inf,
+    or under a FitConfig takes steps with dL/deps_inf = mean(-2 r_i / (eps_i -
+    eps_inf)).
     The no-alpha ablation is not fit here: with alpha = 0 this is fit_m2, whose
     fit evaluation.fit_models reports.
     """

@@ -190,8 +190,8 @@ def generate_from_model(params, xs, noise_sigma: float = 0.0,
     """
     xs = tuple(float(x) for x in xs)
     pred = np.asarray(predict(params, np.asarray(xs)), dtype=float)
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be nonnegative")
+    if not 0 <= noise_sigma < np.inf:  # NaN too
+        raise ValueError("noise_sigma must be finite and nonnegative")
     if noise_sigma > 0:
         if rng is None:
             raise ValueError("rng required when noise_sigma > 0")

@@ -360,6 +360,13 @@ class TestPlotdataCommand:
         assert lines[0] == "x,pred_M2,observed,split"
         assert len(lines) > 5
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_fewer_than_one_grid_point_is_data_error(self, capsys, task_file, points):
+        # 0 would print no prediction rows, and -3 fail in numpy without naming the flag
+        code, out, err = run_cli(capsys, "plotdata", task_file, "--grid-points", points)
+        assert (code, out) == (2, "")
+        assert "data error: --grid-points must be positive" in err
+
     def test_overflowing_prediction_is_an_inf_cell(self, capsys, overflow_file):
         # a warning would be an error here, so empty stderr means none was shown
         code, out, err = run_cli(capsys, "plotdata", overflow_file, *OVERFLOW_FLAGS)

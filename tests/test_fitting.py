@@ -475,10 +475,11 @@ class TestFitM4:
 
 
 class TestProfileSolve:
-    """The default fit (cfg None): a grid over eps_inf or gamma, then Brent's
-    method between the best grid point's neighbours, reaching the optimum where
-    the lr-1e-7 descent stalls and FAST stops at a local minimum.  iterations
-    counts the grid points and each scalar solve of the refinement."""
+    """The default fit (cfg None): a grid over eps_inf or gamma, then a
+    bracketed secant on the slope dL/dtheta from the best grid point toward its
+    neighbour downhill, reaching the optimum where the lr-1e-7 descent stalls
+    and FAST stops at a local minimum.  iterations counts the grid points and
+    each scalar solve of the refinement."""
 
     XS = np.geomspace(1, 4096, 12)
 
@@ -524,6 +525,16 @@ class TestProfileSolve:
                    for f in ("eps_inf", "alpha", "beta", "c")):
                 misses.append(true)
         assert misses == []
+
+    def test_a_bound_sloping_out_ends_the_search_at_one_solve(self):
+        # a power law less a constant: M2's loss rises from eps_inf = 0
+        curve = curve_of(self.XS, self.XS ** -0.3 - 0.05, eps0=2.0)
+        problem = fitting._eps_inf_problem(curve, alpha=False)
+        proj, resid, _ = problem.solve(0.0)
+        assert fitting._slope(resid, problem.dr(proj)) > 0
+        r = fit_m2(curve)
+        assert r.params.eps_inf == 0.0
+        assert r.iterations == len(EPS_INF_GRID) + 1
 
     def test_every_gamma_degenerate_is_degenerate_design(self):
         # log x is one float for all three x, so log(1/x + gamma) is constant too
@@ -588,8 +599,9 @@ class TestProfileSolve:
                     want.update(beta=p.beta * k ** (1 - alpha),
                                 eps_inf=k * getattr(p, "eps_inf", 0.0))
                 # the loss is flat to rounding within about sqrt(machine eps)
-                # * min eps of its best eps_inf (Brent 1973, ch. 5), which
-                # dominates for an eps_inf near or at its 0 bound
+                # * min eps of its best eps_inf, and the slope search keeps the
+                # lowest loss it scores there; this dominates for an eps_inf
+                # near or at its 0 bound
                 slack = {"eps_inf": 1e-7 * min(other.eps)}
                 for name in ("c", "beta", *fields):
                     got = getattr(q, name)
@@ -691,8 +703,9 @@ class TestGradientDrivesFit:
 
     @pytest.mark.parametrize("model", ["M2", "M4", "M3"])
     def test_step_gradient_is_the_public_gradient(self, model):
-        """The descent's dL/dtheta, 2/n r . dr(projection), is dloss_m4_deps_inf
-        or dloss_m3_dgamma at the coefficients solved at theta: for M4 at thetas
+        """The slope that the descent and the default fit take from a
+        projection, 2/n r . dr(projection), is dloss_m4_deps_inf or
+        dloss_m3_dgamma at the coefficients solved at theta: for M4 at thetas
         where alpha is projected to 0 and where it is not."""
         curve = generate_from_model(M4Params(1.0, 0.05, 0.02, 0.4, -0.4), XS12, 0.02,
                                     np.random.default_rng(0))
@@ -705,7 +718,7 @@ class TestGradientDrivesFit:
         alphas = []
         for theta in thetas:
             proj, r, _ = problem.solve(theta)
-            step_grad = 2.0 * float(r @ problem.dr(proj)) / len(r)
+            step_grad = fitting._slope(r, problem.dr(proj))
             b0, c, *rest = problem.coefficients(proj)
             if model == "M3":
                 public = dloss_m3_dgamma(curve, M3Params(np.exp(b0), c, theta))

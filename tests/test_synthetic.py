@@ -287,6 +287,14 @@ class TestGenerateFromModel:
         with pytest.raises(ValueError):
             generate_from_model(M1Params(1, -0.5), (1, 4), noise_sigma=0.1, eps0=2.0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), -0.1, float("inf")])
+    @pytest.mark.parametrize("rng", [None, np.random.default_rng(0)])
+    def test_rejects_a_sigma_that_is_not_finite_and_nonnegative(self, sigma, rng):
+        # nan < 0 and nan > 0 are both false, so a sign test alone lets NaN through
+        with pytest.raises(ValueError, match="noise_sigma must be finite and nonnegative"):
+            generate_from_model(M1Params(1, -0.5), (1, 4), noise_sigma=sigma, rng=rng,
+                                eps0=2.0)
+
     def test_eps0_required_when_params_have_none(self):
         with pytest.raises(ValueError, match="M1Params"):
             generate_from_model(M1Params(1, -0.5), (1, 4))
