@@ -94,7 +94,7 @@ def fit_models(curve, cfg: FitConfig | None = None, models=MODEL_NAMES) -> dict:
 
 
 def winners_under(rmse_by_model: dict, tie: TieRule) -> frozenset:
-    best = min(rmse_by_model.values())  # inf: no model scored, and none wins
+    best = min(rmse_by_model.values(), default=math.inf)  # inf: no model scored, and none wins
     return frozenset(m for m, v in rmse_by_model.items()
                      if v < math.inf and tie.tie(v, best))
 
@@ -119,7 +119,8 @@ def evaluate_task(split: CurveSplit, cfg: FitConfig | None = None,
             continue
         try:  # a prediction can still fail to score
             rmse[name] = extrapolation_rmse(predict(fit.params, hold_x), hold_eps)
-            exponent[name] = fit.params.c
+            # M3's c is the slope in log(1/x + gamma), so its exponent in x is -c
+            exponent[name] = -fit.params.c if name == "M3" else fit.params.c
         except ValueError as exc:
             diagnostics[name] = str(exc)
     return ExtrapolationReport(

@@ -44,19 +44,15 @@ _REQUIRED_FIELDS = {
 }
 
 
-def load_task(source) -> LearningCurve:
-    """Parse and convert a task document, then build its LearningCurve.
+def load_task(path) -> LearningCurve:
+    """Parse and convert the task document at path, then build its LearningCurve.
 
-    source may be a path or an open text stream.  Schema violations are
-    diagnosed here; the values themselves are checked by LearningCurve,
-    whose CurveError (naming the offending x) is raised as TaskFormatError.
+    Schema violations are diagnosed here; the values themselves are checked
+    by LearningCurve, whose CurveError (naming the offending x) is raised as
+    TaskFormatError.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
     try:  # parse_int=float: an integer too large for a float reads as inf
-        doc = json.loads(text, parse_int=float)
+        doc = json.loads(Path(path).read_text(), parse_int=float)
     except json.JSONDecodeError as exc:
         raise TaskFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -28,7 +28,7 @@ from scalefit.evaluation import (
     winners_under,
 )
 from scalefit.fitting import FitConfig
-from scalefit.models import M2Params, M4Params
+from scalefit.models import M1Params, M2Params, M4Params
 from scalefit.synthetic import generate_from_model
 
 # steep train sides whose fits extrapolate past the largest float at the holdout
@@ -122,6 +122,19 @@ class TestEvaluateTask:
         split = self._m2_split()
         report = evaluate_task(split, models=("M1", "M2"))
         assert report.fitted_exponent_by_model["M2"] == pytest.approx(-0.5, abs=1e-3)
+
+    def test_exponents_share_one_sign(self):
+        # M3's c is the slope in log(1/x + gamma), so its exponent in x is -c
+        curve = generate_from_model(M1Params(1.0, -0.5), np.geomspace(1, 4096, 24), eps0=2.0)
+        report = evaluate_task(split_for_extrapolation(curve))
+        for m in MODEL_NAMES:
+            assert report.fitted_exponent_by_model[m] == pytest.approx(-0.5, abs=1e-9), m
+
+    def test_no_models_give_an_empty_report(self):
+        report = evaluate_task(self._m2_split(), models=())
+        assert report.rmse_by_model == report.fitted_exponent_by_model == {}
+        assert report.diagnostics == {}
+        assert report.winners == frozenset()
 
     def test_failed_fit_scores_infinite(self):
         # 3 train points cannot support M4's four parameters

@@ -571,13 +571,16 @@ class TestProfileSolve:
             assert r.iterations == sum(grid) + len(solves), fit.__name__
 
     # each fitter with the fields it fits besides beta and c
-    FORMS = ((fit_m1, ()), (fit_m2, ("eps_inf",)), (fit_m4, ("eps_inf", "alpha")))
+    FORMS = ((fit_m1, ()), (fit_m2, ("eps_inf",)), (fit_m3, ("gamma",)),
+             (fit_m4, ("eps_inf", "alpha")))
 
     @pytest.mark.parametrize("k", [3.7, 0.4])
     @pytest.mark.parametrize("scaled", ["x", "eps"])
     def test_scale_equivariance(self, k, scaled):
-        """x -> kx keeps c, eps_inf and alpha and scales beta by k^-c; eps,
-        eps0 -> k eps, k eps0 scales eps_inf by k and beta by k^(1 - alpha)."""
+        """x -> kx keeps c, eps_inf and alpha and scales beta by k^-c, and M3's
+        gamma by 1/k and beta by k^c, since 1/kx + gamma/k = (1/x + gamma)/k;
+        eps, eps0 -> k eps, k eps0 scales eps_inf by k and beta by k^(1 - alpha),
+        and keeps gamma."""
         rng = np.random.default_rng(7)
         xs = np.geomspace(1, 4096, 60)
         for i in range(40):
@@ -592,12 +595,15 @@ class TestProfileSolve:
             for fit, fields in self.FORMS:
                 p, q = fit(curve).params, fit(other).params
                 alpha = getattr(p, "alpha", 0.0)
+                gamma = getattr(p, "gamma", 0.0)
                 want = {"c": p.c, "alpha": alpha}
                 if scaled == "x":
-                    want.update(beta=p.beta * k ** -p.c, eps_inf=getattr(p, "eps_inf", 0.0))
+                    power = p.c if fit is fit_m3 else -p.c  # of k in beta
+                    want.update(beta=p.beta * k ** power, eps_inf=getattr(p, "eps_inf", 0.0),
+                                gamma=gamma / k)
                 else:
                     want.update(beta=p.beta * k ** (1 - alpha),
-                                eps_inf=k * getattr(p, "eps_inf", 0.0))
+                                eps_inf=k * getattr(p, "eps_inf", 0.0), gamma=gamma)
                 # the loss is flat to rounding within about sqrt(machine eps)
                 # * min eps of its best eps_inf, and the slope search keeps the
                 # lowest loss it scores there; this dominates for an eps_inf

@@ -1,6 +1,7 @@
-import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,8 +35,15 @@ def doc(**overrides):
     return base
 
 
+def load_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "task.json"
+        path.write_text(text)
+        return load_task(path)
+
+
 def load_doc(d):
-    return load_task(io.StringIO(json.dumps(d)))
+    return load_text(json.dumps(d))
 
 
 class TestLoadTask:
@@ -97,7 +105,7 @@ class TestLoadTask:
 
     def test_invalid_json(self):
         with pytest.raises(TaskFormatError, match="JSON"):
-            load_task(io.StringIO("{nope"))
+            load_text("{nope")
 
     def test_unsorted_points_accepted_and_sorted(self):
         curve = load_doc(doc(points=[[4, 0.3], [1, 0.5], [2, 0.4]]))
