@@ -1,6 +1,6 @@
 """Task-file ingestion, benchmark running, and report emission.
 
-Task interchange format: one JSON document per task with fields
+Task interchange format: one UTF-8 JSON document per task with fields
 
     name              str
     domain            str
@@ -39,7 +39,7 @@ _REQUIRED_FIELDS = {
     "domain": str,
     "metric": str,
     "higher_is_better": bool,
-    "loss_random_guess": (int, float),
+    "loss_random_guess": float,
     "points": list,
 }
 
@@ -51,23 +51,22 @@ def load_task(path) -> LearningCurve:
     by LearningCurve, whose CurveError (naming the offending x) is raised as
     TaskFormatError.
     """
-    try:  # parse_int=float: an integer too large for a float reads as inf
-        doc = json.loads(Path(path).read_text(), parse_int=float)
-    except json.JSONDecodeError as exc:
+    try:  # parse_int=float: every number is a float, an integer too large reads as inf
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise TaskFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise TaskFormatError("task document must be a JSON object")
     for key, typ in _REQUIRED_FIELDS.items():
         if key not in doc:
             raise TaskFormatError(f"missing required field {key!r}")
-        if not isinstance(doc[key], typ) or (isinstance(doc[key], bool) and typ is not bool):
-            raise TaskFormatError(f"field {key!r} has wrong type")  # a bool is no number
+        if not isinstance(doc[key], typ):
+            raise TaskFormatError(f"field {key!r} has wrong type")
     pairs = []
     for i, pt in enumerate(doc["points"]):
-        if (not isinstance(pt, (list, tuple)) or len(pt) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pt)):
+        if not (isinstance(pt, list) and len(pt) == 2 and all(isinstance(v, float) for v in pt)):
             raise TaskFormatError(f"point {i} must be a [x, value] number pair")
-        x, value = float(pt[0]), float(pt[1])
+        x, value = pt
         pairs.append((x, 1.0 - value if doc["higher_is_better"] else value))
     pairs.sort()
     try:

@@ -26,8 +26,6 @@ import numpy as np
 from .curve import LearningCurve
 from .models import predict
 
-ROW_BLOCK = 1 << 16  # elements per block of rows in _row_sq: a 512 kB temporary
-
 
 @dataclass(frozen=True)
 class SphereTaskSpec:
@@ -67,7 +65,7 @@ def sample_sphere_dataset(d: int, n: int, w_star: np.ndarray, delta: float,
     if n < 1:
         raise ValueError("n must be positive")
     X = rng.standard_normal((n, d))
-    X /= np.sqrt(_row_sq(X))[:, None]  # bit-identical to np.linalg.norm's rows
+    X /= np.sqrt(np.vecdot(X, X))[:, None]
     y = np.sign(X @ w_star)
     y[y == 0] = 1.0
     flips = rng.random(n) < delta
@@ -84,7 +82,7 @@ def train_logistic(X: np.ndarray, y: np.ndarray, iters: int = 500) -> np.ndarray
     """
     n, d = X.shape
     w = np.zeros(d)
-    lips = 0.25 * float(np.mean(_row_sq(X)))
+    lips = 0.25 * float(np.mean(np.vecdot(X, X)))
     step = 1.0 / (1.0 + lips)
     margins, ys = np.empty(n), np.empty(n)
     for _ in range(iters):
@@ -96,16 +94,6 @@ def train_logistic(X: np.ndarray, y: np.ndarray, iters: int = 500) -> np.ndarray
         np.divide(y, ys, out=ys)
         w += step * ((ys @ X) / n)  # (ys @ X) / n is minus the gradient
     return w
-
-
-def _row_sq(X):
-    """Squared row norms of X, bit-identical to np.sum(X**2, axis=1), formed
-    ROW_BLOCK elements at a time rather than through an n x d temporary."""
-    out = np.empty(len(X))
-    rows = max(1, ROW_BLOCK // X.shape[1])
-    for i in range(0, len(X), rows):
-        np.add.reduce(np.square(X[i:i + rows]), axis=1, out=out[i:i + rows])
-    return out
 
 
 def misclassification_rate(w: np.ndarray, d: int, w_star: np.ndarray, delta: float,

@@ -79,33 +79,26 @@ def grid_fit_m3(curve, gammas=None):
     return _best(gammas, score)
 
 
-def grid_fit_m4(curve, n_grid=2000, fix_alpha_zero=False):
+def grid_fit_m4(curve, n_grid=2000):
     """Best M4 params over a dense eps_inf grid, alpha projected to >= 0."""
     eps = curve.eps_array
     eps0 = curve.eps0
     logx = np.log(curve.x_array)
     ones = np.ones_like(logx)
     log_gap = np.log(eps0 - eps)
-    if not _full_rank(np.column_stack([ones, logx] if fix_alpha_zero else [log_gap, ones, logx])):
+    A, A2 = np.column_stack([log_gap, ones, logx]), np.column_stack([ones, logx])
+    if not _full_rank(A):
         return None
 
     def score(e_inf):
         y = np.log(eps - e_inf)
-        if fix_alpha_zero:
+        alpha, b0, c = _normal_eq(A, y)
+        if alpha < 0:
             alpha = 0.0
-            A = np.column_stack([ones, logx])
-            b0, c = _normal_eq(A, y)
-            loss = float(np.mean((y - A @ (b0, c)) ** 2))
+            b0, c = _normal_eq(A2, y)
+            loss = float(np.mean((y - A2 @ (b0, c)) ** 2))
         else:
-            A = np.column_stack([log_gap, ones, logx])
-            alpha, b0, c = _normal_eq(A, y)
-            if alpha < 0:
-                alpha = 0.0
-                A2 = np.column_stack([ones, logx])
-                b0, c = _normal_eq(A2, y)
-                loss = float(np.mean((y - A2 @ (b0, c)) ** 2))
-            else:
-                loss = float(np.mean((y - A @ (alpha, b0, c)) ** 2))
+            loss = float(np.mean((y - A @ (alpha, b0, c)) ** 2))
         return loss, M4Params(eps0=eps0, eps_inf=float(e_inf), alpha=float(alpha),
                               beta=float(np.exp(b0)), c=float(c))
 

@@ -150,14 +150,17 @@ class TestBenchmarkCommand:
         assert json.loads(out)["best_fraction"]["M2"] == 1.0
 
     def test_unloadable_first_task_is_skipped(self, capsys, task_file):
-        bad = task_file.parent / "a-bad.json"
-        bad.write_text("{not json")
+        bad = [task_file.parent / name for name in ("a-bad.json", "b-not-utf8.json",
+                                                    "c-too-deep.json")]
+        bad[0].write_text("{not json")
+        bad[1].write_bytes(b"\xff\xfe\x00")
+        bad[2].write_text("[" * 100_000 + "]" * 100_000)
         code, out, _ = run_cli(capsys, "benchmark", task_file.parent, "--model", "m1",
                                "--format", "json")
         assert code == 0
         doc = json.loads(out)
         assert [t["task"] for t in doc["tasks"]] == ["demo"]
-        assert [s[0] for s in doc["skipped"]] == [str(bad)]
+        assert [s[0] for s in doc["skipped"]] == [str(p) for p in bad]
 
     def test_bad_cutoff_is_data_error(self, capsys, task_file):
         code, _, _ = run_cli(capsys, "benchmark", task_file, "--cutoff", "banana")
@@ -173,6 +176,18 @@ class TestBenchmarkCommand:
                    if line.startswith("skipped\t")]
         assert [row[:2] for row in skipped] == [["skipped", str(bad)]]
         assert skipped[0][2].startswith("not valid JSON")
+
+    def test_task_is_read_as_utf8_in_an_ascii_locale(self, tmp_path, task_file):
+        doc = json.loads(task_file.read_text())
+        (tmp_path / "demo.json").write_text(json.dumps({**doc, "name": "café"},
+                                                       ensure_ascii=False), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(Path(scalefit.__file__).parents[1]),
+               "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        proc = subprocess.run([sys.executable, "-m", "scalefit.cli", "benchmark",
+                               str(tmp_path), "--model", "m1", "--format", "json"],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert [t["task"] for t in json.loads(proc.stdout)["tasks"]] == ["café"]
 
     def test_negative_cutoff_is_data_error(self, capsys, task_file):
         # rejected up front, rather than as a cutoff that no task survives

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from strategies import curves
 from scalefit.curve import (
     CurveError,
+    CurveSplit,
     LearningCurve,
     apply_cutoff,
     prepare_split,
@@ -45,6 +46,12 @@ class TestLearningCurve:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(CurveError):
             make_curve([1, 2], [0.5, 0.0])
+
+    def test_rejects_mismatched_lengths_and_an_empty_curve(self):
+        with pytest.raises(CurveError, match="equal length"):
+            make_curve([1, 2], [0.5])
+        with pytest.raises(CurveError, match="at least one point"):
+            make_curve([], [])
 
     @pytest.mark.parametrize("xs, eps, message", [
         ([1, 0], [0.5, 0.4], "nonpositive x 0.0"),
@@ -144,6 +151,13 @@ class TestSplitForExtrapolation:
         c = make_curve([1, 2], [0.5, 0.4])
         with pytest.raises(CurveError):
             split_for_extrapolation(c)
+
+    def test_sides_must_lie_on_their_side_of_tau(self):
+        low, high = make_curve([1, 2], [0.5, 0.4]), make_curve([4, 8], [0.3, 0.2])
+        with pytest.raises(CurveError, match="train side contains x > tau"):
+            CurveSplit(low, high, tau=1.5)
+        with pytest.raises(CurveError, match="holdout side contains x <= tau"):
+            CurveSplit(low, high, tau=4.0)
 
 
 class TestTruncateAtPeak:

@@ -246,6 +246,13 @@ class TestFitModels:
         assert report.diagnostics == {ABLATION_NAME: msg, "M2": msg}
         assert calls == ["M2"]
 
+    def test_unknown_name_is_recorded(self):
+        curve = generate_from_model(M2Params(0.1, 0.8, -0.4), np.geomspace(1, 2048, 12),
+                                    eps0=1.0)
+        fits = fit_models(curve, models=("M1", "M5"))
+        assert isinstance(fits["M1"], fitting.FitResult)
+        assert fits["M5"] == "unknown model name: 'M5'"
+
 
 class TestTotality:
     """Any valid curve gives each model finite parameters or a diagnostic,

@@ -860,6 +860,10 @@ class TestFitConfig:
             FitConfig(eps_inf_init_fraction=1.0)
         with pytest.raises(ValueError):
             FitConfig(convergence_tol=0.0)
+        with pytest.raises(ValueError, match="max_outer_iters"):
+            FitConfig(max_outer_iters=0)
+        with pytest.raises(ValueError, match="gamma_init"):
+            FitConfig(gamma_init=-1)
         for field in ("learning_rate", "rate_multiplier", "convergence_tol"):
             for value in (float("nan"), float("inf")):
                 with pytest.raises(ValueError):

@@ -36,9 +36,10 @@ def doc(**overrides):
 
 
 def load_text(text):
+    """Load a task file holding text, written as UTF-8, or raw bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "task.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         return load_task(path)
 
 
@@ -69,8 +70,13 @@ class TestLoadTask:
             load_doc(d)
 
     def test_wrong_type(self):
-        with pytest.raises(TaskFormatError, match="wrong type"):
-            load_doc(doc(higher_is_better="yes"))
+        for changes in ({"higher_is_better": "yes"}, {"loss_random_guess": True}):
+            with pytest.raises(TaskFormatError, match="wrong type"):
+                load_doc(doc(**changes))
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(TaskFormatError, match="must be a JSON object"):
+            load_doc([doc()])
 
     def test_nonpositive_x(self):
         with pytest.raises(TaskFormatError, match="nonpositive x"):
@@ -100,12 +106,15 @@ class TestLoadTask:
             load_doc(doc(points=[[2, 0.5], [2, 0.4]]))
 
     def test_malformed_point(self):
-        with pytest.raises(TaskFormatError, match="pair"):
-            load_doc(doc(points=[[1, 0.5], [2]]))
+        for points in ([[1, 0.5], [2]], [[True, 0.5], [2, 0.4]], [["1", 0.5], [2, 0.4]]):
+            with pytest.raises(TaskFormatError, match="pair"):
+                load_doc(doc(points=points))
 
     def test_invalid_json(self):
-        with pytest.raises(TaskFormatError, match="JSON"):
-            load_text("{nope")
+        # not JSON, not UTF-8, and nested past the parser's recursion limit
+        for content in ("{nope", b"\xff\xfe\x00", "[" * 100_000 + "]" * 100_000):
+            with pytest.raises(TaskFormatError, match="^not valid JSON: "):
+                load_text(content)
 
     def test_unsorted_points_accepted_and_sorted(self):
         curve = load_doc(doc(points=[[4, 0.3], [1, 0.5], [2, 0.4]]))

@@ -34,6 +34,12 @@ class TestParamInvariants:
         with pytest.raises(ValueError):
             M4Params(eps0=1, eps_inf=0, alpha=-0.1, beta=1, c=-1)
 
+    def test_m2_eps_inf_and_m3_gamma_nonnegative(self):
+        with pytest.raises(ValueError, match="eps_inf must be nonnegative"):
+            M2Params(eps_inf=-0.1, beta=1, c=-1)
+        with pytest.raises(ValueError, match="gamma must be nonnegative"):
+            M3Params(beta=1, c=-1, gamma=-0.1)
+
 
 class TestPredictM1:
     def test_values(self):

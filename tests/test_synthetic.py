@@ -43,6 +43,10 @@ class TestSampleSphereDataset:
         X, y = sample_sphere_dataset(6, 1000, w, 0.0, np.random.default_rng(2))
         assert np.array_equal(y, np.sign(X @ w))
 
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValueError, match="n must be positive"):
+            sample_sphere_dataset(6, 0, unit(6), 0.0, np.random.default_rng(2))
+
 
 def reference_train_logistic(X, y, iters=500):
     """train_logistic with the gradient formed row by row: each step builds
