@@ -164,8 +164,10 @@ def _expand_task_paths(paths):
 
 
 def _write(text: str) -> None:
-    """Write to stdout now; once its reader has gone (as by `| head`), the
-    rest, and the flush at exit, go to os.devnull and are not an error."""
+    """Write to stdout now, escaping what it cannot encode; once its reader has gone (as by
+    `| head`), the rest, and the flush at exit, go to os.devnull and are not an error."""
+    if encoding := getattr(sys.stdout, "encoding", None):  # café as caf\xe9 in ASCII
+        text = text.encode(encoding, "backslashreplace").decode(encoding)
     try:
         sys.stdout.write(text)
         sys.stdout.flush()

@@ -22,7 +22,8 @@ check.  A FitConfig selects the paper's recipe: one clamped gradient step on
 theta per outer iteration, from the residual, 1e-7 by default, until the loss
 decrease falls below convergence_tol or max_outer_iters is reached; the
 coefficients are solved once, at the last theta.  loss_* and dloss_* use the
-residual at given params.
+residual at given params.  The work on x alone is done once per x grid (curve.xs), for
+the last 4, read-only: log x's factor (M1, M2), and M3's u and Z on GAMMA_GRID (n x 201).
 """
 
 from __future__ import annotations
@@ -153,15 +154,22 @@ class _Separable:
     hi: float = np.inf
 
 
-@lru_cache(maxsize=2)  # fit_m1 and fit_m2 share one problem, and one factor_design
+@lru_cache(maxsize=4)  # x grids; the tasks of a benchmark often share one
+def _log_x_factor(xs):
+    """factor_design of log x, read-only: M1's and M2's on every curve on the x grid xs."""
+    Q, R = factor_design(np.log(np.asarray(xs, dtype=float))[:, None])
+    Q.flags.writeable = False
+    return Q, tuple(map(tuple, R))
+
+
 def _eps_inf_problem(curve, alpha) -> _Separable:
     """M4 (alpha=True) or M2 (alpha=False); theta = eps_inf < min eps.  Z is factored
-    once; where alpha is negative, at one theta or in a batch, its component of the
-    projection is dropped: Q's leading rows are the QR of [1, log x] alone."""
+    once, M2's once per x grid; where alpha is negative, at one theta or in a batch, its
+    component of the projection is dropped: Q's leading rows are the QR of [1, log x]."""
     eps = curve.eps_array
     eps_min = float(eps.min())
-    Z = np.log(curve.x_array)[:, None]
-    factor = factor_design(np.column_stack([Z, np.log(curve.eps0 - eps)]) if alpha else Z)
+    factor = (factor_design(np.column_stack([np.log(curve.x_array), np.log(curve.eps0 - eps)]))
+              if alpha else _log_x_factor(curve.xs))
     Q, R = factor
 
     def solve(e_inf):
@@ -185,6 +193,26 @@ def _inverse_x(curve):
     return inv_x
 
 
+def _gamma_design(inv_x, gammas):
+    """M3's design at each gamma: u = 1/x + gamma, the column Z = log u centred, its
+    mean and squared norm ss, and factor_design's rank test, with |Z|^2 = ss + n mean^2."""
+    n = len(inv_x)
+    Z = np.log(u := np.add.outer(inv_x, gammas))
+    mean = Z.sum(axis=0) / n
+    Z -= mean
+    ss = np.vecdot(Z, Z, axis=0)
+    return u, Z, mean, ss, np.sqrt(ss) > n * np.spacing(np.sqrt(ss + n * mean * mean))
+
+
+@lru_cache(maxsize=4)  # x grids
+def _gamma_grid_design(xs):
+    """_gamma_design on GAMMA_GRID, read-only: M3's on every curve on the x grid xs."""
+    design = _gamma_design(1.0 / np.asarray(xs, dtype=float), GAMMA_GRID)  # _inverse_x checked 1/x
+    for a in design:
+        a.flags.writeable = False
+    return design
+
+
 def _gamma_problem(curve) -> _Separable:
     """M3; theta = gamma.  factor_design and solve_loglinear on the column log u,
     u = 1/x + gamma, in closed form, projecting to (the column's mean, c, u)."""
@@ -194,13 +222,9 @@ def _gamma_problem(curve) -> _Separable:
     yc = y - y_mean
 
     def solve(gammas):
-        Z = np.log(u := np.add.outer(inv_x, gammas))
-        mean = Z.sum(axis=0) / n
-        Z -= mean
-        ss = np.vecdot(Z, Z, axis=0)
-        # factor_design's rank test, with |Z|^2 = ss + n mean^2
-        ok = np.sqrt(ss) > n * np.spacing(np.sqrt(ss + n * mean * mean))
-        c = yc @ Z / (ss + ~ok)  # ss + 1 where the test fails, for a finite c there
+        u, Z, mean, ss, ok = (_gamma_grid_design(curve.xs) if gammas is GAMMA_GRID
+                              else _gamma_design(inv_x, gammas))
+        c = yc @ Z / (ss + ~ok)  # ss + 1 where the rank test fails, for a finite c there
         r = (yc - (Z * c).T).T
         loss = np.vecdot(r, r, axis=0) / n
         return (mean, c, u), r, loss if all(ok.flat) else np.where(ok, loss, np.inf)

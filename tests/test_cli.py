@@ -177,17 +177,29 @@ class TestBenchmarkCommand:
         assert [row[:2] for row in skipped] == [["skipped", str(bad)]]
         assert skipped[0][2].startswith("not valid JSON")
 
-    def test_task_is_read_as_utf8_in_an_ascii_locale(self, tmp_path, task_file):
+    @staticmethod
+    def benchmark_cafe_in_an_ascii_locale(tmp_path, task_file, fmt):
+        """`scalefit benchmark` in a subprocess whose locale, and so stdout, is
+        ASCII, over one task named café written as UTF-8."""
         doc = json.loads(task_file.read_text())
         (tmp_path / "demo.json").write_text(json.dumps({**doc, "name": "café"},
                                                        ensure_ascii=False), encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(Path(scalefit.__file__).parents[1]),
                "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
         proc = subprocess.run([sys.executable, "-m", "scalefit.cli", "benchmark",
-                               str(tmp_path), "--model", "m1", "--format", "json"],
+                               str(tmp_path), "--model", "m1", "--format", fmt],
                               capture_output=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert [t["task"] for t in json.loads(proc.stdout)["tasks"]] == ["café"]
+        return proc.stdout
+
+    def test_task_is_read_as_utf8_in_an_ascii_locale(self, tmp_path, task_file):
+        out = self.benchmark_cafe_in_an_ascii_locale(tmp_path, task_file, "json")
+        assert [t["task"] for t in json.loads(out)["tasks"]] == ["café"]
+
+    def test_table_escapes_what_an_ascii_stdout_cannot_encode(self, tmp_path, task_file):
+        # the data is valid, so the name is written, not reported as a data error
+        out = self.benchmark_cafe_in_an_ascii_locale(tmp_path, task_file, "table")
+        assert b"caf\\xe9" in out
 
     def test_negative_cutoff_is_data_error(self, capsys, task_file):
         # rejected up front, rather than as a cutoff that no task survives

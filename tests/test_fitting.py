@@ -852,6 +852,70 @@ class TestNonFiniteFits:
             dloss_m4_deps_inf(curve, p)
 
 
+class TestGridCaches:
+    """The x-only designs cached per x grid, M1's and M2's factor of log x and
+    M3's design on GAMMA_GRID, fit every curve as the empty caches do."""
+
+    XS = XS12
+    OTHER_XS = tuple(np.geomspace(2, 3000, 12))  # another grid of the same length
+
+    @staticmethod
+    def noisy(xs, seed):
+        return generate_from_model(M4Params(1.0, 0.05, 0.3, 0.4, -0.4), xs, 0.02,
+                                   np.random.default_rng(seed))
+
+    @staticmethod
+    def fit(curve):
+        return repr(fit_models(curve, None, ALL_MODEL_NAMES))
+
+    @staticmethod
+    def clear():
+        fitting._log_x_factor.cache_clear()
+        fitting._gamma_grid_design.cache_clear()
+
+    def cold(self, curve):
+        self.clear()
+        return self.fit(curve)
+
+    def test_a_curve_fits_after_another_on_its_grid_as_when_cold(self):
+        c1, c2 = self.noisy(self.XS, 1), self.noisy(self.XS, 2)
+        cold = self.cold(c2)
+        self.cold(c1)
+        hits = fitting._log_x_factor.cache_info().hits, fitting._gamma_grid_design.cache_info().hits
+        assert self.fit(c2) == cold
+        # M1 and M2 each took log x's factor from the cache, and M3 its grid design
+        assert fitting._log_x_factor.cache_info().hits == hits[0] + 2
+        assert fitting._gamma_grid_design.cache_info().hits == hits[1] + 1
+
+    def test_the_key_is_the_grid_not_its_length(self):
+        a, b = self.noisy(self.XS, 3), self.noisy(self.OTHER_XS, 4)
+        cold = [self.cold(a), self.cold(b)]
+        self.clear()
+        for _ in range(2):
+            assert [self.fit(a), self.fit(b)] == cold
+        assert fitting._gamma_grid_design.cache_info().currsize == 2
+
+    def test_cached_arrays_are_read_only(self):
+        self.fit(self.noisy(self.XS, 5))
+        Q, R = fitting._log_x_factor(self.XS)
+        assert isinstance(R, tuple) and all(isinstance(row, tuple) for row in R)
+        for a in (Q, *fitting._gamma_grid_design(self.XS)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 0.0
+
+    def test_a_warm_cache_still_rejects_a_subnormal_x(self):
+        self.fit(self.noisy(self.XS, 6))
+        self.fit(curve_of([1.0, 2.0, 4.0, 8.0], [0.5, 0.4, 0.3, 0.2]))
+        cached = fitting._gamma_grid_design.cache_info().currsize
+        # 1/x overflows for x = 5e-324; a warning would fail the test
+        curve = curve_of([5e-324, 1.0, 2.0, 4.0], [0.5, 0.4, 0.3, 0.2])
+        for _ in range(2):
+            with pytest.raises(DegenerateDesignError, match="non-finite design feature"):
+                fit_m3(curve)
+        assert fitting._gamma_grid_design.cache_info().currsize == cached
+
+
 class TestFitConfig:
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
